@@ -3,14 +3,17 @@
 //! Measures how fast each Table 1 kernel can be fitted to a 12-point series
 //! (the size ESTIMA deals with when measuring one Opteron socket), the cost
 //! of the full model-selection loop (`approximate_series`), the analytic vs
-//! finite-difference Jacobian paths, and the allocation-free strip-structured
-//! candidate grid against a faithful emulation of the pre-PR per-cell path.
+//! finite-difference Jacobian paths, the allocation-free strip-structured
+//! candidate grid against a faithful emulation of the pre-PR per-cell path,
+//! and one measurement-campaign step (refit after appending a point) with and
+//! without the fit cache's prefix-fit lineage.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use estima_core::fit::candidate_fits_scoped;
 use estima_core::levenberg::{levenberg_marquardt, Jacobian, LmOptions};
 use estima_core::{
-    approximate_series, candidate_fits_with, fit_kernel, fit_kernel_with, Engine, FitOptions,
-    KernelKind,
+    approximate_series, candidate_fits_with, fit_kernel, fit_kernel_with, CacheScope, Engine,
+    FitCache, FitOptions, KernelKind,
 };
 
 fn series() -> (Vec<f64>, Vec<f64>) {
@@ -82,6 +85,47 @@ fn bench_parallel_candidate_grid(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// One campaign step: a named series had 11 points fitted, then a 12th was
+/// appended (a version bump), and the refit runs. `seeded` refits with the
+/// 11-point fit's lineage in the cache, so only the new prefix is fitted;
+/// `unseeded` runs the same scoped miss on an empty cache. Building the
+/// cache state is set-up, outside the timed region.
+fn bench_campaign_step(c: &mut Criterion) {
+    let (xs, ys) = series();
+    let options = FitOptions::default();
+    let engine = Engine::new(1);
+    let scope = |version| {
+        Some(CacheScope {
+            series: "campaign",
+            version,
+        })
+    };
+    // Returns the cache with the result so it is dropped untimed as well.
+    let refit = |cache: FitCache| {
+        let fits = candidate_fits_scoped(&xs, &ys, &options, &engine, &cache, scope(2)).unwrap();
+        (cache, fits)
+    };
+    let mut group = c.benchmark_group("candidate_fits");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("campaign_step", "seeded"), |b| {
+        b.iter_batched(
+            || {
+                let cache = FitCache::new();
+                candidate_fits_scoped(&xs[..11], &ys[..11], &options, &engine, &cache, scope(1))
+                    .unwrap();
+                cache.invalidate_series("campaign");
+                cache
+            },
+            refit,
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function(BenchmarkId::new("campaign_step", "unseeded"), |b| {
+        b.iter_batched(FitCache::new, refit, BatchSize::SmallInput)
+    });
     group.finish();
 }
 
@@ -407,6 +451,7 @@ criterion_group!(
     bench_single_kernels,
     bench_model_selection,
     bench_parallel_candidate_grid,
+    bench_campaign_step,
     bench_jacobian_modes,
     bench_grid_vs_pre_pr
 );

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::config::{EstimaConfig, TargetSpec};
 use crate::error::Result;
-use crate::fit::{FitCandidate, FitOptions};
+use crate::fit::{FitCandidate, FitOptions, GridFit, PrefixFits};
 use crate::measurement::MeasurementSet;
 use crate::predictor::{Estima, Prediction};
 use crate::store::EstimaSession;
@@ -185,8 +185,6 @@ impl FitKey {
     /// `Hash` randomness, so a key always lands on the same shard across
     /// processes and runs.
     fn shard_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash = FNV_OFFSET;
         let mut eat = |byte: u8| {
             hash ^= u64::from(byte);
@@ -212,6 +210,9 @@ impl FitKey {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// A borrowed `(series id, version)` tag identifying which
 /// [`MeasurementStore`](crate::store::MeasurementStore) state a fit was
 /// computed from. Threaded through the cached fitting entry points
@@ -225,11 +226,13 @@ pub struct CacheScope<'a> {
 }
 
 /// One cached candidate list plus its recency stamp (the shard's logical
-/// clock value at the last hit or insert; smallest = least recently used).
+/// clock value at the last hit or insert; smallest = least recently used)
+/// and, for scoped entries, the per-prefix verdict table of the fit.
 #[derive(Debug)]
 struct ShardEntry {
     value: Arc<Vec<FitCandidate>>,
     last_used: u64,
+    table: Option<Arc<PrefixFits>>,
 }
 
 /// One cache shard: its own map, logical clock, and series→keys index
@@ -247,6 +250,10 @@ struct Shard {
     /// [`FitCache::invalidate_series`] removes exactly that series' entries
     /// instead of sweeping the whole shard.
     by_series: HashMap<String, Vec<Arc<FitKey>>>,
+    /// Lineage slots of the series whose name hashes to this shard: the
+    /// verdict tables of the entries the series' last invalidating version
+    /// bump removed (see [`FitCache`]).
+    lineage: HashMap<String, Vec<Arc<PrefixFits>>>,
     clock: u64,
 }
 
@@ -315,6 +322,22 @@ const DEFAULT_CAPACITY: usize = 4096;
 /// fits are deterministic, so a re-computed entry is bit-identical to the
 /// evicted one and predictions are unaffected — pinned by
 /// `crates/core/tests/fit_cache.rs`.
+///
+/// # Prefix-fit lineage
+///
+/// A scoped miss (a named store series, see [`FitKey::scoped`]) records the
+/// grid's per-(kernel, prefix) verdict table in its entry. When a version
+/// bump invalidates the series ([`FitCache::invalidate_series`]), the
+/// removed entries' tables move into the series' single lineage slot,
+/// replacing the previous one (a bump that removes no entries keeps the
+/// slot). The next scoped miss for the series seeds its grid from the slot
+/// table sharing the longest bit-identical prefix with its data, so an
+/// append refits one new prefix per kernel instead of all of them.
+/// [`FitCache::forget_series`] (a deleted or expired series) drops the
+/// slot. Reuse is decided by exact data and LM-option equality alone — never
+/// by series id or version — so a stale table can only cost a refit, and a
+/// seeded grid is bit-identical to an unseeded one. Unscoped fits build no
+/// tables.
 #[derive(Debug)]
 pub struct FitCache {
     shards: Vec<Mutex<Shard>>,
@@ -324,6 +347,8 @@ pub struct FitCache {
     misses: AtomicUsize,
     evictions: AtomicUsize,
     invalidations: AtomicUsize,
+    prefix_fits_reused: AtomicUsize,
+    prefix_fits_computed: AtomicUsize,
 }
 
 impl Default for FitCache {
@@ -357,6 +382,8 @@ impl FitCache {
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             invalidations: AtomicUsize::new(0),
+            prefix_fits_reused: AtomicUsize::new(0),
+            prefix_fits_computed: AtomicUsize::new(0),
         }
     }
 
@@ -364,6 +391,14 @@ impl FitCache {
     fn shard_for(&self, key: &FitKey) -> &Mutex<Shard> {
         let index = (key.shard_hash() as usize) % self.shards.len();
         &self.shards[index]
+    }
+
+    /// The shard holding `series`' lineage slot.
+    fn lineage_shard(&self, series: &str) -> &Mutex<Shard> {
+        let hash = series.bytes().fold(FNV_OFFSET, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        });
+        &self.shards[(hash as usize) % self.shards.len()]
     }
 
     /// Look up `key`, computing and inserting the candidate list on a miss.
@@ -378,6 +413,25 @@ impl FitCache {
     where
         F: FnOnce() -> Result<Vec<FitCandidate>>,
     {
+        self.get_or_fit(key, |_| {
+            Ok(GridFit {
+                candidates: compute()?,
+                table: None,
+                reused: 0,
+                computed: 0,
+            })
+        })
+    }
+
+    /// [`FitCache::get_or_compute`] for the grid fitter: on a miss, `fit`
+    /// receives the lineage slot of the key's series (empty for unscoped
+    /// keys) to seed from, and the verdict table it returns is kept in the
+    /// entry. Its reused/computed cell counts feed
+    /// [`FitCache::prefix_fits`].
+    pub(crate) fn get_or_fit<F>(&self, key: FitKey, fit: F) -> Result<Arc<Vec<FitCandidate>>>
+    where
+        F: FnOnce(&[Arc<PrefixFits>]) -> Result<GridFit>,
+    {
         let shard = self.shard_for(&key);
         {
             let mut guard = shard.lock().unwrap();
@@ -390,7 +444,25 @@ impl FitCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = Arc::new(compute()?);
+        let lineage = match key.scope() {
+            Some((series, _)) => {
+                let guard = self
+                    .lineage_shard(series)
+                    .lock()
+                    .expect("fit-cache shard lock poisoned");
+                guard.lineage.get(series).cloned().unwrap_or_default()
+            }
+            None => Vec::new(),
+        };
+        let GridFit {
+            candidates,
+            table,
+            reused,
+            computed,
+        } = fit(&lineage)?;
+        self.prefix_fits_reused.fetch_add(reused, Ordering::Relaxed);
+        self.prefix_fits_computed
+            .fetch_add(computed, Ordering::Relaxed);
         let mut guard = shard.lock().unwrap();
         guard.clock += 1;
         let clock = guard.clock;
@@ -414,8 +486,9 @@ impl FitCache {
                 Arc::clone(
                     &vacant
                         .insert(ShardEntry {
-                            value: computed,
+                            value: Arc::new(candidates),
                             last_used: clock,
+                            table: table.map(Arc::new),
                         })
                         .value,
                 )
@@ -470,7 +543,7 @@ impl FitCache {
     /// regardless of version. Returns how many entries were removed.
     ///
     /// Called by [`EstimaSession`] whenever a
-    /// series is mutated or evicted: the version bump already guarantees the
+    /// series is mutated: the version bump already guarantees the
     /// next prediction cannot *hit* a stale entry (the version is part of the
     /// key), so this sweep exists to reclaim the now-unreachable entries
     /// immediately instead of waiting for LRU pressure. Unscoped entries and
@@ -478,14 +551,48 @@ impl FitCache {
     /// shard keeps a series→keys index, and invalidation removes exactly the
     /// indexed keys, costing O(that series' entries) rather than a
     /// full-shard sweep. Entries it never owned are never even visited.
+    ///
+    /// The removed entries' verdict tables become the series' lineage slot
+    /// (replacing the previous one; kept as is when nothing was removed), so
+    /// the next fit of the grown series reuses every unchanged prefix.
     pub fn invalidate_series(&self, series: &str) -> usize {
+        let (removed, tables) = self.remove_series_entries(series);
+        if !tables.is_empty() {
+            let mut guard = self
+                .lineage_shard(series)
+                .lock()
+                .expect("fit-cache shard lock poisoned");
+            guard.lineage.insert(series.to_string(), tables);
+        }
+        removed
+    }
+
+    /// [`FitCache::invalidate_series`] for a series that is gone (deleted
+    /// or expired): also drops its lineage slot, so nothing it fitted is kept
+    /// or can seed a later series under the same id. Returns how many
+    /// entries were removed.
+    pub fn forget_series(&self, series: &str) -> usize {
+        let (removed, _) = self.remove_series_entries(series);
+        self.lineage_shard(series)
+            .lock()
+            .expect("fit-cache shard lock poisoned")
+            .lineage
+            .remove(series);
+        removed
+    }
+
+    /// Remove every entry scoped to `series`; returns how many, and the
+    /// verdict tables they held.
+    fn remove_series_entries(&self, series: &str) -> (usize, Vec<Arc<PrefixFits>>) {
         let mut removed = 0;
+        let mut tables = Vec::new();
         for shard in &self.shards {
             let mut guard = shard.lock().unwrap();
             if let Some(keys) = guard.by_series.remove(series) {
                 for key in keys {
-                    if guard.map.remove(&key).is_some() {
+                    if let Some(entry) = guard.map.remove(&key) {
                         removed += 1;
+                        tables.extend(entry.table);
                     }
                 }
             }
@@ -493,11 +600,21 @@ impl FitCache {
         if removed > 0 {
             self.invalidations.fetch_add(removed, Ordering::Relaxed);
         }
-        removed
+        (removed, tables)
     }
 
-    /// Number of entries removed by [`FitCache::invalidate_series`] since
-    /// construction.
+    /// `(reused, computed)` grid cells since construction: (kernel, prefix)
+    /// verdicts copied from a lineage table versus fitted, over every miss
+    /// that ran the grid fitter.
+    pub fn prefix_fits(&self) -> (usize, usize) {
+        (
+            self.prefix_fits_reused.load(Ordering::Relaxed),
+            self.prefix_fits_computed.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Number of entries removed by [`FitCache::invalidate_series`] and
+    /// [`FitCache::forget_series`] since construction.
     pub fn invalidations(&self) -> usize {
         self.invalidations.load(Ordering::Relaxed)
     }

@@ -38,6 +38,12 @@
 //! matches the LM Jacobian slab (see [`crate::levenberg`]) and the summation
 //! order of every reduction is fixed, so grid results are bit-identical
 //! regardless of engine parallelism.
+//!
+//! A cell's fit reads nothing beyond its prefix, so a grid can also copy
+//! cells from an earlier run over a bit-identical prefix instead of refitting
+//! them: scoped fit-cache misses record each cell's verdict and seed from the
+//! previous version of the same store series (see [`FitCache`]), so a refit
+//! after an append fits one new prefix per kernel.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -358,9 +364,13 @@ pub struct FitCandidate {
 /// scaling-factor realism check exactly (ascending fold, `0.0` /
 /// `f64::INFINITY` initial values), so reading `tail_max`/`tail_min` is
 /// bit-identical to re-running that loop.
+///
+/// The values are shared, not copied, between clones: the candidates one
+/// prefix yields for several checkpoint counts carry the same curve, so they
+/// share one table.
 #[derive(Debug, Clone)]
 pub struct CandidateEvals {
-    values: Vec<f64>,
+    values: Arc<[f64]>,
     tail_start: u32,
     tail_max: f64,
     tail_min: f64,
@@ -382,7 +392,7 @@ impl CandidateEvals {
             }
         }
         CandidateEvals {
-            values,
+            values: values.into(),
             tail_start,
             tail_max,
             tail_min,
@@ -557,132 +567,613 @@ pub fn candidate_fits_with(
     options: &FitOptions,
     engine: &Engine,
 ) -> Result<Vec<FitCandidate>> {
-    if xs.len() != ys.len() {
-        return Err(EstimaError::Numerical(
-            "candidate_fits: xs/ys length mismatch".into(),
-        ));
+    candidate_grid(xs, ys, options, engine, None, false).map(|fit| fit.candidates)
+}
+
+/// Per-(kernel, prefix) fit verdicts of one grid run, with the series bits
+/// and Levenberg–Marquardt options they were computed from.
+///
+/// A cell's verdict — whether the prefix solve (linear kernels) or the
+/// linearised guess plus LM refinement (nonlinear kernels) succeeded, and
+/// the parameters it produced — is a deterministic function of the prefix's
+/// points and the LM options alone. Checkpoints, the realism horizon and the
+/// magnitude cap only enter scoring. A later series whose first `k` points
+/// are bit-identical to this table's can therefore copy the verdict of every
+/// prefix `<= k` instead of refitting it, and the copied bits are exactly
+/// the bits a refit would produce. Scoped fit-cache entries keep one of
+/// these (see [`FitCache`]); unscoped fits never build one.
+#[derive(Debug)]
+pub(crate) struct PrefixFits {
+    xs_bits: Vec<u64>,
+    ys_bits: Vec<u64>,
+    lm: LmOptions,
+    kernels: Vec<KernelFits>,
+}
+
+impl PrefixFits {
+    /// Length of the bit-identical common prefix of this table's series and
+    /// `(xs, ys)`; 0 when the table was fitted under different LM options.
+    fn common_prefix(&self, xs: &[f64], ys: &[f64], lm: &LmOptions) -> usize {
+        if !same_lm(&self.lm, lm) {
+            return 0;
+        }
+        self.xs_bits
+            .iter()
+            .zip(&self.ys_bits)
+            .zip(xs.iter().zip(ys))
+            .take_while(|((xb, yb), (x, y))| **xb == x.to_bits() && **yb == y.to_bits())
+            .count()
     }
-    let m = xs.len();
-    if options.kernels.is_empty() {
-        return Err(EstimaError::InvalidConfig("empty kernel set".into()));
+
+    /// This table's verdicts for `kernel`, if it fitted that kernel.
+    fn kernel(&self, kernel: KernelKind) -> Option<&KernelFits> {
+        self.kernels.iter().find(|fits| fits.kernel == kernel)
     }
-    let mut viable_checkpoint_counts: Vec<usize> = options
-        .checkpoint_counts
-        .iter()
-        .copied()
-        .filter(|c| *c >= 1 && m >= c + options.min_training_points.max(2))
-        .collect();
-    if viable_checkpoint_counts.is_empty() {
-        // Degrade gracefully to a single checkpoint when the series is short.
-        if m > options.min_training_points {
-            viable_checkpoint_counts.push(1);
-        } else {
-            return Err(EstimaError::InsufficientMeasurements {
-                required: options.min_training_points + 1,
-                available: m,
-            });
+}
+
+/// Whether two LM option sets are bit-for-bit equal (floats compared by
+/// bits, so the comparison can never equate options that fit differently).
+fn same_lm(a: &LmOptions, b: &LmOptions) -> bool {
+    let floats = |o: &LmOptions| {
+        [
+            o.initial_lambda,
+            o.lambda_up,
+            o.lambda_down,
+            o.tolerance,
+            o.step_tolerance,
+            o.finite_difference_step,
+        ]
+        .map(f64::to_bits)
+    };
+    a.max_iterations == b.max_iterations && a.jacobian == b.jacobian && floats(a) == floats(b)
+}
+
+/// The table in `lineage` sharing the longest bit-identical prefix with
+/// `(xs, ys)` under `lm` (the first such on ties), with that prefix length.
+pub(crate) fn best_seed<'a>(
+    lineage: &'a [Arc<PrefixFits>],
+    xs: &[f64],
+    ys: &[f64],
+    lm: &LmOptions,
+) -> Option<(&'a PrefixFits, usize)> {
+    let mut best: Option<(&PrefixFits, usize)> = None;
+    for table in lineage {
+        let common = table.common_prefix(xs, ys, lm);
+        if common > best.map_or(0, |(_, c)| c) {
+            best = Some((table, common));
+        }
+    }
+    best
+}
+
+/// One kernel's verdicts over the prefixes `first..first + verdicts.len()`.
+#[derive(Debug)]
+struct KernelFits {
+    kernel: KernelKind,
+    first: usize,
+    /// `None`: the prefix was not fitted by this run; `Some(false)`: the fit
+    /// failed; `Some(true)`: solved, parameters in `params`.
+    verdicts: Vec<Option<bool>>,
+    /// `param_count` values per prefix slot (zero when not solved).
+    params: Vec<f64>,
+}
+
+impl KernelFits {
+    fn new(kernel: KernelKind, first: usize, last: usize) -> Self {
+        let slots = last + 1 - first;
+        KernelFits {
+            kernel,
+            first,
+            verdicts: vec![None; slots],
+            params: vec![0.0; slots * kernel.param_count()],
         }
     }
 
-    let spans: Vec<CheckpointSpan> = viable_checkpoint_counts
-        .iter()
-        .map(|&c| {
-            let n_train = m - c;
-            let (prefix_start, prefix_end) = prefix_bounds(options, n_train);
-            CheckpointSpan {
-                checkpoints: c,
-                n_train,
-                prefix_start,
-                prefix_end,
-            }
-        })
-        .collect();
+    /// The verdict for `prefix`: `None` when not recorded, `Some(None)` for a
+    /// failed fit, `Some(Some(params))` for a solved one.
+    fn get(&self, prefix: usize) -> Option<Option<&[f64]>> {
+        let slot = prefix.checked_sub(self.first)?;
+        let p = self.kernel.param_count();
+        match (*self.verdicts.get(slot)?)? {
+            false => Some(None),
+            true => Some(Some(&self.params[slot * p..(slot + 1) * p])),
+        }
+    }
 
-    let data_max = ys.iter().copied().fold(0.0f64, f64::max);
-    let magnitude_cap = if data_max > 0.0 {
-        (data_max * options.max_growth_factor).min(options.max_magnitude)
-    } else {
-        options.max_magnitude
-    };
+    fn set(&mut self, prefix: usize, params: Option<&[f64]>) {
+        let slot = prefix - self.first;
+        self.verdicts[slot] = Some(params.is_some());
+        if let Some(params) = params {
+            let p = self.kernel.param_count();
+            self.params[slot * p..(slot + 1) * p].copy_from_slice(params);
+        }
+    }
+}
 
-    let mut kernel_grids: Vec<Vec<Option<FitCandidate>>> =
+/// One kernel's bookkeeping during a grid run: the seed verdicts it may copy
+/// (valid for prefixes up to `common`), the table it records into, and how
+/// many cells it copied versus fitted.
+#[derive(Debug)]
+struct PrefixLedger<'a> {
+    seed: Option<&'a KernelFits>,
+    common: usize,
+    record: Option<KernelFits>,
+    reused: usize,
+    computed: usize,
+}
+
+impl<'a> PrefixLedger<'a> {
+    /// The seed's verdict for `prefix` when the seed has one for a
+    /// bit-identical prefix: `Some(None)` is a copied failure,
+    /// `Some(Some(params))` copied parameters. `None` means fit it.
+    fn reuse(&mut self, prefix: usize) -> Option<Option<&'a [f64]>> {
+        if prefix > self.common {
+            return None;
+        }
+        let verdict = self.seed?.get(prefix)?;
+        self.reused += 1;
+        if let Some(record) = &mut self.record {
+            record.set(prefix, verdict);
+        }
+        Some(verdict)
+    }
+
+    /// Note a freshly fitted cell (`None` when its fit failed).
+    fn fitted(&mut self, prefix: usize, params: Option<&[f64]>) {
+        self.computed += 1;
+        if let Some(record) = &mut self.record {
+            record.set(prefix, params);
+        }
+    }
+}
+
+/// What one candidate-grid run produced.
+#[derive(Debug)]
+pub(crate) struct GridFit {
+    /// The viable candidates, in the historical enumeration order.
+    pub(crate) candidates: Vec<FitCandidate>,
+    /// The run's verdict table, when it was asked to record one.
+    pub(crate) table: Option<PrefixFits>,
+    /// (kernel, prefix) cells copied from the seed table.
+    pub(crate) reused: usize,
+    /// (kernel, prefix) cells fitted.
+    pub(crate) computed: usize,
+}
+
+/// The candidate grid behind every fitting entry point. `seed` is a table
+/// plus the length of its bit-identical common prefix with `(xs, ys)`:
+/// every covered cell within that prefix copies the seed's verdict instead
+/// of fitting, and is scored afresh. `record` asks for this run's own
+/// verdict table. The candidates are bit-identical with or without a seed.
+pub(crate) fn candidate_grid(
+    xs: &[f64],
+    ys: &[f64],
+    options: &FitOptions,
+    engine: &Engine,
+    seed: Option<(&PrefixFits, usize)>,
+    record: bool,
+) -> Result<GridFit> {
+    let grid = Grid::new(xs, ys, options)?;
+    let runs: Vec<(Vec<Option<FitCandidate>>, PrefixLedger)> =
         engine.run(options.kernels.clone(), |kernel| {
-            with_fit_workspace(|ws| {
-                fit_kernel_grid(xs, ys, kernel, &spans, options, magnitude_cap, ws)
-            })
+            let mut ledger = PrefixLedger {
+                seed: seed.and_then(|(table, _)| table.kernel(kernel)),
+                common: seed.map_or(0, |(_, common)| common),
+                record: record.then(|| KernelFits::new(kernel, grid.lo, grid.hi)),
+                reused: 0,
+                computed: 0,
+            };
+            let cells = with_fit_workspace(|ws| grid.fit_kernel(kernel, ws, &mut ledger));
+            (cells, ledger)
         });
+
+    let mut fit = GridFit {
+        candidates: Vec::new(),
+        table: None,
+        reused: 0,
+        computed: 0,
+    };
+    let mut cells = Vec::with_capacity(runs.len());
+    let mut tables = Vec::with_capacity(runs.len());
+    for (kernel_cells, ledger) in runs {
+        fit.reused += ledger.reused;
+        fit.computed += ledger.computed;
+        tables.extend(ledger.record);
+        cells.push(kernel_cells);
+    }
+    if record {
+        fit.table = Some(PrefixFits {
+            xs_bits: xs.iter().map(|x| x.to_bits()).collect(),
+            ys_bits: ys.iter().map(|y| y.to_bits()).collect(),
+            lm: options.lm,
+            kernels: tables,
+        });
+    }
 
     // Reassemble in the historical enumeration order: checkpoint count →
     // prefix length → kernel. Tie-breaking in `select_best` keeps the first
     // candidate of equal RMSE, so the order is part of the contract.
-    let mut out = Vec::new();
     let mut base = 0;
-    for span in &spans {
+    for span in &grid.spans {
         for pi in 0..span.width() {
-            for grid in kernel_grids.iter_mut() {
-                if let Some(candidate) = grid[base + pi].take() {
-                    out.push(candidate);
+            for kernel_cells in cells.iter_mut() {
+                if let Some(candidate) = kernel_cells[base + pi].take() {
+                    fit.candidates.push(candidate);
                 }
             }
         }
         base += span.width();
     }
-    Ok(out)
+    Ok(fit)
 }
 
-/// Fit every (checkpoint count × prefix) cell of one kernel from a shared
-/// columnar design slab. Returns one slot per cell, flattened in (checkpoint
-/// span → prefix) order — the same layout [`candidate_fits_with`] reassembles
-/// from.
-fn fit_kernel_grid(
-    xs: &[f64],
-    ys: &[f64],
-    kernel: KernelKind,
-    spans: &[CheckpointSpan],
-    options: &FitOptions,
+/// One series' candidate grid: the data, its checkpoint spans and the
+/// scoring bounds every kernel's work item shares.
+struct Grid<'a> {
+    xs: &'a [f64],
+    ys: &'a [f64],
+    options: &'a FitOptions,
+    spans: Vec<CheckpointSpan>,
+    /// Largest magnitude a realistic candidate may reach.
     magnitude_cap: f64,
-    ws: &mut FitWorkspace,
-) -> Vec<Option<FitCandidate>> {
-    let total: usize = spans.iter().map(CheckpointSpan::width).sum();
-    let mut out = vec![None; total];
-    if kernel.is_linear() {
-        fit_linear_grid(xs, ys, kernel, spans, options, magnitude_cap, ws, &mut out);
-    } else {
-        fit_nonlinear_grid(xs, ys, kernel, spans, options, magnitude_cap, ws, &mut out);
-    }
-    out
+    /// First extrapolated core count: one past the series' largest measured
+    /// x (the series covers *all* measured points — checkpoints included).
+    tail_start: u32,
+    /// Longest training range over all spans: the design slabs' row count.
+    n_build: usize,
+    /// Smallest and largest prefix any span covers.
+    lo: usize,
+    hi: usize,
 }
 
-/// Score one solved prefix against every checkpoint span covering it, writing
-/// the candidates into the flattened (span → prefix) output slots.
-#[allow(clippy::too_many_arguments)]
-fn score_prefix_into(
-    kernel: KernelKind,
-    params: &[f64],
-    prefix: usize,
-    spans: &[CheckpointSpan],
-    xs: &[f64],
-    ys: &[f64],
-    options: &FitOptions,
-    magnitude_cap: f64,
-    out: &mut [Option<FitCandidate>],
-) {
-    let mut base = 0;
-    for span in spans {
-        if span.covers(prefix) {
-            out[base + prefix - span.prefix_start] = score_candidate(
-                kernel,
-                params,
-                prefix,
-                span.checkpoints,
-                xs,
-                ys,
-                span.n_train,
-                options,
-                magnitude_cap,
-            );
+impl<'a> Grid<'a> {
+    fn new(xs: &'a [f64], ys: &'a [f64], options: &'a FitOptions) -> Result<Self> {
+        if xs.len() != ys.len() {
+            return Err(EstimaError::Numerical(
+                "candidate_fits: xs/ys length mismatch".into(),
+            ));
         }
-        base += span.width();
+        let m = xs.len();
+        if options.kernels.is_empty() {
+            return Err(EstimaError::InvalidConfig("empty kernel set".into()));
+        }
+        let mut viable_checkpoint_counts: Vec<usize> = options
+            .checkpoint_counts
+            .iter()
+            .copied()
+            .filter(|c| *c >= 1 && m >= c + options.min_training_points.max(2))
+            .collect();
+        if viable_checkpoint_counts.is_empty() {
+            // Degrade gracefully to a single checkpoint when the series is short.
+            if m > options.min_training_points {
+                viable_checkpoint_counts.push(1);
+            } else {
+                return Err(EstimaError::InsufficientMeasurements {
+                    required: options.min_training_points + 1,
+                    available: m,
+                });
+            }
+        }
+
+        let spans: Vec<CheckpointSpan> = viable_checkpoint_counts
+            .iter()
+            .map(|&c| {
+                let n_train = m - c;
+                let (prefix_start, prefix_end) = prefix_bounds(options, n_train);
+                CheckpointSpan {
+                    checkpoints: c,
+                    n_train,
+                    prefix_start,
+                    prefix_end,
+                }
+            })
+            .collect();
+
+        let data_max = ys.iter().copied().fold(0.0f64, f64::max);
+        let magnitude_cap = if data_max > 0.0 {
+            (data_max * options.max_growth_factor).min(options.max_magnitude)
+        } else {
+            options.max_magnitude
+        };
+        Ok(Grid {
+            xs,
+            ys,
+            options,
+            magnitude_cap,
+            tail_start: xs.iter().fold(0.0f64, |a, x| a.max(*x)) as u32 + 1,
+            n_build: spans.iter().map(|s| s.n_train).max().unwrap_or(0),
+            lo: spans.iter().map(|s| s.prefix_start).min().unwrap_or(0),
+            hi: spans.iter().map(|s| s.prefix_end).max().unwrap_or(0),
+            spans,
+        })
+    }
+
+    /// Whether any span has `prefix` as a cell. Without prefix refitting the
+    /// spans are single points, so `lo..=hi` can have gaps.
+    fn covered(&self, prefix: usize) -> bool {
+        self.spans.iter().any(|s| s.covers(prefix))
+    }
+
+    /// Fit every (checkpoint count × prefix) cell of one kernel from a shared
+    /// columnar design slab. Returns one slot per cell, flattened in
+    /// (checkpoint span → prefix) order — the layout [`candidate_grid`]
+    /// reassembles from.
+    fn fit_kernel(
+        &self,
+        kernel: KernelKind,
+        ws: &mut FitWorkspace,
+        ledger: &mut PrefixLedger,
+    ) -> Vec<Option<FitCandidate>> {
+        let total: usize = self.spans.iter().map(CheckpointSpan::width).sum();
+        let mut out = vec![None; total];
+        if kernel.is_linear() {
+            self.fit_linear(kernel, ws, ledger, &mut out);
+        } else {
+            self.fit_nonlinear(kernel, ws, ledger, &mut out);
+        }
+        out
+    }
+
+    /// Score one solved prefix against every checkpoint span covering it,
+    /// writing the candidates into the flattened (span → prefix) output
+    /// slots. A candidate is viable when its checkpoint RMSE is finite and
+    /// the curve passes the realism filter. Only the checkpoint RMSE depends
+    /// on the span: the curve, its training RMSE and the realism walk with
+    /// its evaluation table are built at most once per prefix and shared by
+    /// every span that needs them.
+    fn score_prefix_into(
+        &self,
+        kernel: KernelKind,
+        params: &[f64],
+        prefix: usize,
+        out: &mut [Option<FitCandidate>],
+    ) {
+        let mut realistic: Option<Option<(FittedCurve, CandidateEvals)>> = None;
+        let mut base = 0;
+        for span in &self.spans {
+            if span.covers(prefix) {
+                let n_train = span.n_train;
+                let checkpoint_rmse =
+                    model_rmse(kernel, params, &self.xs[n_train..], &self.ys[n_train..]);
+                if checkpoint_rmse.is_finite() {
+                    let scored = realistic
+                        .get_or_insert_with(|| self.realistic_curve(kernel, params, prefix));
+                    if let Some((curve, evals)) = scored {
+                        out[base + prefix - span.prefix_start] = Some(FitCandidate {
+                            curve: FittedCurve {
+                                checkpoint_rmse,
+                                ..curve.clone()
+                            },
+                            checkpoints: span.checkpoints,
+                            evals: evals.clone(),
+                        });
+                    }
+                }
+            }
+            base += span.width();
+        }
+    }
+
+    /// The fitted curve of one prefix (checkpoint RMSE left for the caller
+    /// to fill in) with its integer-grid evaluation table, or `None` when
+    /// the curve fails the realism filter.
+    fn realistic_curve(
+        &self,
+        kernel: KernelKind,
+        params: &[f64],
+        prefix: usize,
+    ) -> Option<(FittedCurve, CandidateEvals)> {
+        let curve = FittedCurve {
+            kernel,
+            params: params.to_vec(),
+            checkpoint_rmse: f64::NAN,
+            training_rmse: model_rmse(kernel, params, &self.xs[..prefix], &self.ys[..prefix]),
+            training_points: prefix,
+        };
+        let mut values = Vec::new();
+        if !curve.is_realistic_captured(
+            self.options.realism_horizon,
+            self.magnitude_cap,
+            &mut values,
+        ) {
+            return None;
+        }
+        Some((curve, CandidateEvals::new(values, self.tail_start)))
+    }
+
+    /// Linear-kernel grid: the columnar design slab is built once over the
+    /// longest training range; each distinct prefix is a rank-1 update of the
+    /// running normal equations followed by an in-place Cholesky solve
+    /// (ridge-regularised when the system is under-determined or numerically
+    /// not positive definite), then scored against every covering checkpoint
+    /// span. A prefix the ledger supplies is scored without solving; the
+    /// accumulation below catches up over it, row by row in the same order.
+    fn fit_linear(
+        &self,
+        kernel: KernelKind,
+        ws: &mut FitWorkspace,
+        ledger: &mut PrefixLedger,
+        out: &mut [Option<FitCandidate>],
+    ) {
+        let (xs, ys, n_build) = (self.xs, self.ys, self.n_build);
+        let p = kernel.param_count();
+        // Columnar slab over the longest training range: column `j` holds
+        // design component `j` at every training point. Design rows depend
+        // only on the point, so one slab serves every checkpoint span.
+        grow(&mut ws.design, p * n_build);
+        let mut row = [0.0f64; MAX_PARAMS];
+        for (i, x) in xs[..n_build].iter().enumerate() {
+            kernel.design_row_into(*x, &mut row[..p]);
+            for (j, v) in row[..p].iter().enumerate() {
+                ws.design[j * n_build + i] = *v;
+            }
+        }
+        grow(&mut ws.gram, p * p);
+        grow(&mut ws.rhs, p);
+        grow(&mut ws.solve_mat, p * p);
+        grow(&mut ws.solve_rhs, p);
+        ws.gram[..p * p].fill(0.0);
+        ws.rhs[..p].fill(0.0);
+
+        let mut rows_in = 0;
+        for prefix in self.lo..=self.hi {
+            if !self.covered(prefix) {
+                continue;
+            }
+            if let Some(verdict) = ledger.reuse(prefix) {
+                if let Some(params) = verdict {
+                    self.score_prefix_into(kernel, params, prefix, out);
+                }
+                continue;
+            }
+            // Skipped prefixes are caught up by the incremental accumulation.
+            while rows_in < prefix {
+                for (j, slot) in row[..p].iter_mut().enumerate() {
+                    *slot = ws.design[j * n_build + rows_in];
+                }
+                accumulate_normal_equations(
+                    &row[..p],
+                    ys[rows_in],
+                    &mut ws.gram[..p * p],
+                    &mut ws.rhs[..p],
+                );
+                rows_in += 1;
+            }
+            let gram = &ws.gram[..p * p];
+            let solve_mat = &mut ws.solve_mat[..p * p];
+            let solve_rhs = &mut ws.solve_rhs[..p];
+            solve_mat.copy_from_slice(gram);
+            solve_rhs.copy_from_slice(&ws.rhs[..p]);
+            // An under-determined prefix (fewer points than parameters) has a
+            // singular gram; go straight to the ridge.
+            let mut solved = prefix >= p && cholesky_solve_in_place(solve_mat, p, solve_rhs);
+            if !solved {
+                solve_mat.copy_from_slice(gram);
+                solve_rhs.copy_from_slice(&ws.rhs[..p]);
+                let scale = (0..p)
+                    .map(|i| gram[i * p + i])
+                    .fold(0.0f64, f64::max)
+                    .max(1.0);
+                for i in 0..p {
+                    solve_mat[i * p + i] += RIDGE * scale;
+                }
+                solved = cholesky_solve_in_place(solve_mat, p, solve_rhs);
+            }
+            let params = &ws.solve_rhs[..p];
+            ledger.fitted(prefix, solved.then_some(params));
+            if solved {
+                self.score_prefix_into(kernel, params, prefix, out);
+            }
+        }
+    }
+
+    /// Nonlinear-kernel grid: the columnar linearised-guess slab is built once
+    /// over the longest training range; each distinct prefix solves the guess
+    /// on prefix views of the slab columns, refines it with an
+    /// allocation-free Levenberg–Marquardt run using the kernel's analytic
+    /// Jacobian, and scores the result against every covering checkpoint
+    /// span. A prefix the ledger supplies skips the guess and LM.
+    fn fit_nonlinear(
+        &self,
+        kernel: KernelKind,
+        ws: &mut FitWorkspace,
+        ledger: &mut PrefixLedger,
+        out: &mut [Option<FitCandidate>],
+    ) {
+        let (xs, ys, n_build) = (self.xs, self.ys, self.n_build);
+        let p = kernel.param_count();
+
+        // Build the shared columnar guess slab once per (kernel, series) pair.
+        let exprat = kernel == KernelKind::ExpRat;
+        // For ExpRat the linearisation goes through ln(y): it is only usable
+        // on prefixes whose values are all positive.
+        let positive_limit = if exprat {
+            ys[..n_build]
+                .iter()
+                .position(|y| *y <= 0.0)
+                .unwrap_or(n_build)
+        } else {
+            n_build
+        };
+        let guess_cols = if exprat { 3 } else { p };
+        grow(&mut ws.design, guess_cols * n_build);
+        let mut row = [0.0f64; MAX_PARAMS];
+        if exprat {
+            grow(&mut ws.zs, n_build);
+            for i in 0..positive_limit {
+                let z = ys[i].ln();
+                ws.zs[i] = z;
+                fill_exprat_guess_row(&mut row[..3], xs[i], z);
+                for (j, v) in row[..3].iter().enumerate() {
+                    ws.design[j * n_build + i] = *v;
+                }
+            }
+        } else {
+            let (num_degree, den_degree) = rational_degrees(kernel);
+            for i in 0..n_build {
+                fill_rational_guess_row(&mut row[..p], xs[i], ys[i], num_degree, den_degree);
+                for (j, v) in row[..p].iter().enumerate() {
+                    ws.design[j * n_build + i] = *v;
+                }
+            }
+        }
+
+        let mut params_buf = [0.0f64; MAX_PARAMS];
+        for prefix in self.lo..=self.hi {
+            if !self.covered(prefix) {
+                continue;
+            }
+            if let Some(verdict) = ledger.reuse(prefix) {
+                if let Some(params) = verdict {
+                    self.score_prefix_into(kernel, params, prefix, out);
+                }
+                continue;
+            }
+            let px = &xs[..prefix];
+            let py = &ys[..prefix];
+            let params = &mut params_buf[..p];
+            // Linearised initial guess on the shared slab: column construction
+            // and fallbacks go through the same `fill_*_guess_row` /
+            // `fallback_guess` helpers as `linearized_initial_guess`, and the
+            // columnar QR transposes into the exact row-major work buffer the
+            // one-shot path factorises, so the two paths cannot drift apart.
+            let mean_y = py.iter().sum::<f64>() / prefix as f64;
+            let mut guessed = false;
+            if exprat {
+                if prefix <= positive_limit && prefix >= 3 {
+                    if let Ok(sol) = solve_least_squares_qr_columns(
+                        &ws.design,
+                        n_build,
+                        prefix,
+                        3,
+                        &ws.zs[..prefix],
+                    ) {
+                        if sol.iter().all(|v| v.is_finite()) {
+                            params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
+                            guessed = true;
+                        }
+                    }
+                }
+            } else if prefix >= p {
+                if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, n_build, prefix, p, py)
+                {
+                    if sol.iter().all(|v| v.is_finite()) {
+                        params.copy_from_slice(&sol);
+                        guessed = true;
+                    }
+                }
+            }
+            if !guessed {
+                fallback_guess(kernel, mean_y, params);
+            }
+            let solved =
+                levenberg_marquardt_into(&kernel, px, py, params, &self.options.lm, &mut ws.lm)
+                    .is_ok();
+            ledger.fitted(prefix, solved.then_some(&*params));
+            if solved {
+                self.score_prefix_into(kernel, params, prefix, out);
+            }
+        }
     }
 }
 
@@ -698,249 +1189,6 @@ fn model_rmse(kernel: KernelKind, params: &[f64], xs: &[f64], ys: &[f64]) -> f64
         sum += d * d;
     }
     (sum / xs.len() as f64).sqrt()
-}
-
-/// Score a fitted parameter vector for one grid cell: checkpoint/training
-/// RMSE plus the realism filter. Returns `None` when the candidate is not
-/// viable.
-#[allow(clippy::too_many_arguments)]
-fn score_candidate(
-    kernel: KernelKind,
-    params: &[f64],
-    prefix: usize,
-    checkpoints: usize,
-    xs: &[f64],
-    ys: &[f64],
-    n_train: usize,
-    options: &FitOptions,
-    magnitude_cap: f64,
-) -> Option<FitCandidate> {
-    let checkpoint_rmse = model_rmse(kernel, params, &xs[n_train..], &ys[n_train..]);
-    if !checkpoint_rmse.is_finite() {
-        return None;
-    }
-    let curve = FittedCurve {
-        kernel,
-        params: params.to_vec(),
-        checkpoint_rmse,
-        training_rmse: model_rmse(kernel, params, &xs[..prefix], &ys[..prefix]),
-        training_points: prefix,
-    };
-    let mut values = Vec::new();
-    if !curve.is_realistic_captured(options.realism_horizon, magnitude_cap, &mut values) {
-        return None;
-    }
-    // First extrapolated core count: one past the series' largest measured x
-    // (the series covers *all* measured points — checkpoints included).
-    let tail_start = xs.iter().fold(0.0f64, |a, x| a.max(*x)) as u32 + 1;
-    let evals = CandidateEvals::new(values, tail_start);
-    Some(FitCandidate {
-        curve,
-        checkpoints,
-        evals,
-    })
-}
-
-/// Linear-kernel grid: the columnar design slab is built once over the
-/// longest training range; each distinct prefix is a rank-1 update of the
-/// running normal equations followed by an in-place Cholesky solve
-/// (ridge-regularised when the system is under-determined or numerically not
-/// positive definite), then scored against every covering checkpoint span.
-#[allow(clippy::too_many_arguments)]
-fn fit_linear_grid(
-    xs: &[f64],
-    ys: &[f64],
-    kernel: KernelKind,
-    spans: &[CheckpointSpan],
-    options: &FitOptions,
-    magnitude_cap: f64,
-    ws: &mut FitWorkspace,
-    out: &mut [Option<FitCandidate>],
-) {
-    let p = kernel.param_count();
-    let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
-    let lo = spans.iter().map(|s| s.prefix_start).min().unwrap_or(0);
-    let hi = spans.iter().map(|s| s.prefix_end).max().unwrap_or(0);
-    // Columnar slab over the longest training range: column `j` holds design
-    // component `j` at every training point. Design rows depend only on the
-    // point, so one slab serves every checkpoint span.
-    grow(&mut ws.design, p * n_build);
-    let mut row = [0.0f64; MAX_PARAMS];
-    for (i, x) in xs[..n_build].iter().enumerate() {
-        kernel.design_row_into(*x, &mut row[..p]);
-        for (j, v) in row[..p].iter().enumerate() {
-            ws.design[j * n_build + i] = *v;
-        }
-    }
-    grow(&mut ws.gram, p * p);
-    grow(&mut ws.rhs, p);
-    grow(&mut ws.solve_mat, p * p);
-    grow(&mut ws.solve_rhs, p);
-    ws.gram[..p * p].fill(0.0);
-    ws.rhs[..p].fill(0.0);
-
-    let mut rows_in = 0;
-    for prefix in lo..=hi {
-        // Without prefix refitting the spans are single points; skipped
-        // prefixes are caught up by the incremental accumulation below.
-        if !spans.iter().any(|s| s.covers(prefix)) {
-            continue;
-        }
-        while rows_in < prefix {
-            for (j, slot) in row[..p].iter_mut().enumerate() {
-                *slot = ws.design[j * n_build + rows_in];
-            }
-            accumulate_normal_equations(
-                &row[..p],
-                ys[rows_in],
-                &mut ws.gram[..p * p],
-                &mut ws.rhs[..p],
-            );
-            rows_in += 1;
-        }
-        let gram = &ws.gram[..p * p];
-        let solve_mat = &mut ws.solve_mat[..p * p];
-        let solve_rhs = &mut ws.solve_rhs[..p];
-        solve_mat.copy_from_slice(gram);
-        solve_rhs.copy_from_slice(&ws.rhs[..p]);
-        // An under-determined prefix (fewer points than parameters) has a
-        // singular gram; go straight to the ridge.
-        let mut solved = prefix >= p && cholesky_solve_in_place(solve_mat, p, solve_rhs);
-        if !solved {
-            solve_mat.copy_from_slice(gram);
-            solve_rhs.copy_from_slice(&ws.rhs[..p]);
-            let scale = (0..p)
-                .map(|i| gram[i * p + i])
-                .fold(0.0f64, f64::max)
-                .max(1.0);
-            for i in 0..p {
-                solve_mat[i * p + i] += RIDGE * scale;
-            }
-            solved = cholesky_solve_in_place(solve_mat, p, solve_rhs);
-        }
-        if solved {
-            score_prefix_into(
-                kernel,
-                &ws.solve_rhs[..p],
-                prefix,
-                spans,
-                xs,
-                ys,
-                options,
-                magnitude_cap,
-                out,
-            );
-        }
-    }
-}
-
-/// Nonlinear-kernel grid: the columnar linearised-guess slab is built once
-/// over the longest training range; each distinct prefix solves the guess on
-/// prefix views of the slab columns, refines it with an allocation-free
-/// Levenberg–Marquardt run using the kernel's analytic Jacobian, and scores
-/// the result against every covering checkpoint span.
-#[allow(clippy::too_many_arguments)]
-fn fit_nonlinear_grid(
-    xs: &[f64],
-    ys: &[f64],
-    kernel: KernelKind,
-    spans: &[CheckpointSpan],
-    options: &FitOptions,
-    magnitude_cap: f64,
-    ws: &mut FitWorkspace,
-    out: &mut [Option<FitCandidate>],
-) {
-    let p = kernel.param_count();
-    let n_build = spans.iter().map(|s| s.n_train).max().unwrap_or(0);
-    let lo = spans.iter().map(|s| s.prefix_start).min().unwrap_or(0);
-    let hi = spans.iter().map(|s| s.prefix_end).max().unwrap_or(0);
-
-    // Build the shared columnar guess slab once per (kernel, series) pair.
-    let exprat = kernel == KernelKind::ExpRat;
-    // For ExpRat the linearisation goes through ln(y): it is only usable on
-    // prefixes whose values are all positive.
-    let positive_limit = if exprat {
-        ys[..n_build]
-            .iter()
-            .position(|y| *y <= 0.0)
-            .unwrap_or(n_build)
-    } else {
-        n_build
-    };
-    let guess_cols = if exprat { 3 } else { p };
-    grow(&mut ws.design, guess_cols * n_build);
-    let mut row = [0.0f64; MAX_PARAMS];
-    if exprat {
-        grow(&mut ws.zs, n_build);
-        for i in 0..positive_limit {
-            let z = ys[i].ln();
-            ws.zs[i] = z;
-            fill_exprat_guess_row(&mut row[..3], xs[i], z);
-            for (j, v) in row[..3].iter().enumerate() {
-                ws.design[j * n_build + i] = *v;
-            }
-        }
-    } else {
-        let (num_degree, den_degree) = rational_degrees(kernel);
-        for i in 0..n_build {
-            fill_rational_guess_row(&mut row[..p], xs[i], ys[i], num_degree, den_degree);
-            for (j, v) in row[..p].iter().enumerate() {
-                ws.design[j * n_build + i] = *v;
-            }
-        }
-    }
-
-    let mut params_buf = [0.0f64; MAX_PARAMS];
-    for prefix in lo..=hi {
-        if !spans.iter().any(|s| s.covers(prefix)) {
-            continue;
-        }
-        let px = &xs[..prefix];
-        let py = &ys[..prefix];
-        let params = &mut params_buf[..p];
-        // Linearised initial guess on the shared slab: column construction
-        // and fallbacks go through the same `fill_*_guess_row` /
-        // `fallback_guess` helpers as `linearized_initial_guess`, and the
-        // columnar QR transposes into the exact row-major work buffer the
-        // one-shot path factorises, so the two paths cannot drift apart.
-        let mean_y = py.iter().sum::<f64>() / prefix as f64;
-        let mut guessed = false;
-        if exprat {
-            if prefix <= positive_limit && prefix >= 3 {
-                if let Ok(sol) =
-                    solve_least_squares_qr_columns(&ws.design, n_build, prefix, 3, &ws.zs[..prefix])
-                {
-                    if sol.iter().all(|v| v.is_finite()) {
-                        params.copy_from_slice(&[sol[0], sol[1], 1.0, sol[2]]);
-                        guessed = true;
-                    }
-                }
-            }
-        } else if prefix >= p {
-            if let Ok(sol) = solve_least_squares_qr_columns(&ws.design, n_build, prefix, p, py) {
-                if sol.iter().all(|v| v.is_finite()) {
-                    params.copy_from_slice(&sol);
-                    guessed = true;
-                }
-            }
-        }
-        if !guessed {
-            fallback_guess(kernel, mean_y, params);
-        }
-        if levenberg_marquardt_into(&kernel, px, py, params, &options.lm, &mut ws.lm).is_ok() {
-            score_prefix_into(
-                kernel,
-                params,
-                prefix,
-                spans,
-                xs,
-                ys,
-                options,
-                magnitude_cap,
-                out,
-            );
-        }
-    }
 }
 
 /// [`candidate_fits_with`] backed by a shared [`FitCache`]: the candidate
@@ -961,6 +1209,12 @@ pub fn candidate_fits_cached(
 /// scope only participates in cache keying, never in the fit), so scoped and
 /// unscoped lookups of the same series produce bit-identical candidates —
 /// they just occupy distinct cache entries.
+///
+/// A scoped miss also keeps the grid's per-(kernel, prefix) verdict table in
+/// its entry and seeds the grid from the series' lineage: the tables of the
+/// version the last ingest invalidated (see [`FitCache`]). Seeding only
+/// copies verdicts for bit-identical prefixes, so the candidates are
+/// unchanged.
 pub fn candidate_fits_scoped(
     xs: &[f64],
     ys: &[f64],
@@ -969,17 +1223,127 @@ pub fn candidate_fits_scoped(
     cache: &FitCache,
     scope: Option<CacheScope<'_>>,
 ) -> Result<Arc<Vec<FitCandidate>>> {
-    let key = match scope {
-        Some(scope) => FitKey::scoped(xs, ys, options, scope.series, scope.version),
-        None => FitKey::new(xs, ys, options),
+    let Some(scope) = scope else {
+        return cache.get_or_fit(FitKey::new(xs, ys, options), |_| {
+            candidate_grid(xs, ys, options, engine, None, false)
+        });
     };
-    cache.get_or_compute(key, || candidate_fits_with(xs, ys, options, engine))
+    let key = FitKey::scoped(xs, ys, options, scope.series, scope.version);
+    cache.get_or_fit(key, |lineage| {
+        let seed = best_seed(lineage, xs, ys, &options.lm);
+        candidate_grid(xs, ys, options, engine, seed, true)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::levenberg::Jacobian;
+    use proptest::prelude::*;
+
+    /// Every bit of a candidate list, in order.
+    fn candidate_bits(candidates: &[FitCandidate]) -> Vec<(KernelKind, usize, usize, Vec<u64>)> {
+        candidates
+            .iter()
+            .map(|c| {
+                let curve = &c.curve;
+                let bits = curve
+                    .params
+                    .iter()
+                    .chain([&curve.checkpoint_rmse, &curve.training_rmse])
+                    .chain(c.evals.values())
+                    .chain([&c.evals.tail_max(), &c.evals.tail_min()])
+                    .map(|v| v.to_bits())
+                    .collect();
+                (curve.kernel, curve.training_points, c.checkpoints, bits)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn seeded_grid_matches_unseeded_grid(
+            n in 5usize..14,
+            base in 1.0f64..1.0e3,
+            slope in -5.0f64..50.0,
+            curve in -0.5f64..2.0,
+            wobble in 0u64..1000,
+            common in 0usize..16,
+            kick in 1.01f64..2.0,
+            refit in 0u32..4,
+        ) {
+            let law = |x: f64| {
+                let jitter = 1.0 + 0.03 * (((x as u64 * 7 + wobble) % 5) as f64 - 2.0);
+                (base + slope * x + curve * x * x).abs().max(1.0) * jitter
+            };
+            let options = FitOptions {
+                realism_horizon: 4 * n as u32 + 4,
+                prefix_refitting: refit != 0,
+                ..FitOptions::default()
+            };
+            let engine = Engine::sequential();
+            let xs: Vec<f64> = (1..=n).map(|c| c as f64).collect();
+            let ys: Vec<f64> = xs.iter().map(|x| law(*x)).collect();
+            let first = candidate_grid(&xs, &ys, &options, &engine, None, true).unwrap();
+            let lineage = vec![Arc::new(first.table.unwrap())];
+
+            // The next series keeps the first `common` points bit-identical,
+            // changes every later one, and gains one more point.
+            let common = common.min(n);
+            let mut xs2 = xs.clone();
+            xs2.push((n + 1) as f64);
+            let mut ys2: Vec<f64> = xs2.iter().map(|x| law(*x)).collect();
+            for y in &mut ys2[common..] {
+                *y *= kick;
+            }
+            let seed = best_seed(&lineage, &xs2, &ys2, &options.lm);
+            prop_assert_eq!(seed.map_or(0, |(_, c)| c), common);
+
+            let plain = candidate_grid(&xs2, &ys2, &options, &engine, None, true).unwrap();
+            let seeded = candidate_grid(&xs2, &ys2, &options, &Engine::new(2), seed, true).unwrap();
+            prop_assert_eq!(candidate_bits(&seeded.candidates), candidate_bits(&plain.candidates));
+            prop_assert_eq!(seeded.reused + seeded.computed, plain.computed);
+            prop_assert_eq!(plain.reused, 0);
+            if options.prefix_refitting && common >= options.min_training_points {
+                prop_assert!(seeded.reused > 0, "nothing reused at common prefix {}", common);
+            }
+            // The seeded run records the same table a cold run does.
+            let (a, b) = (seeded.table.unwrap(), plain.table.unwrap());
+            prop_assert_eq!(a.kernels.len(), b.kernels.len());
+            for (ka, kb) in a.kernels.iter().zip(&b.kernels) {
+                prop_assert_eq!(ka.kernel, kb.kernel);
+                prop_assert_eq!(&ka.verdicts, &kb.verdicts);
+                let bits = |k: &KernelFits| k.params.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(ka), bits(kb));
+            }
+        }
+    }
+
+    #[test]
+    fn seeds_need_identical_lm_options() {
+        let xs: Vec<f64> = (1..=8).map(|c| c as f64).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 100.0 + 3.0 * x * x).collect();
+        let options = FitOptions::default();
+        let engine = Engine::sequential();
+        let table = candidate_grid(&xs, &ys, &options, &engine, None, true)
+            .unwrap()
+            .table
+            .unwrap();
+        let lineage = vec![Arc::new(table)];
+        assert_eq!(best_seed(&lineage, &xs, &ys, &options.lm).unwrap().1, 8);
+        let loose = LmOptions {
+            tolerance: 1e-6,
+            ..LmOptions::default()
+        };
+        assert!(best_seed(&lineage, &xs, &ys, &loose).is_none());
+        // Unscoped fits never build a table.
+        assert!(candidate_grid(&xs, &ys, &options, &engine, None, false)
+            .unwrap()
+            .table
+            .is_none());
+    }
 
     fn series_from(kernel: KernelKind, params: &[f64], max: u32) -> (Vec<f64>, Vec<f64>) {
         let xs: Vec<f64> = (1..=max).map(|c| c as f64).collect();

@@ -760,8 +760,11 @@ impl MeasurementStore {
 /// a pure cache hit, while any ingest bumps the version (a guaranteed miss
 /// for that series — and only that series) and immediately sweeps the
 /// now-stale entries out of the cache
-/// ([`FitCache::invalidate_series`]). See the module docs for the version
-/// semantics; see the [module example](crate::store) for usage.
+/// ([`FitCache::invalidate_series`]). The swept entries leave their
+/// per-prefix verdict tables behind as the series' lineage, so the refit
+/// after an append fits only the new prefix; deleting or expiring a series
+/// drops that too ([`FitCache::forget_series`]). See the module docs for the
+/// version semantics; see the [module example](crate::store) for usage.
 #[derive(Debug, Default)]
 pub struct EstimaSession {
     estima: Estima,
@@ -824,7 +827,7 @@ impl EstimaSession {
     pub fn sweep_expired(&self) -> Vec<SeriesId> {
         let evicted = self.store.sweep_expired();
         for id in &evicted {
-            self.cache.invalidate_series(id.as_str());
+            self.cache.forget_series(id.as_str());
         }
         evicted
     }
@@ -970,7 +973,7 @@ impl EstimaSession {
     pub fn evict(&self, id: &SeriesId) -> Result<Option<SeriesSnapshot>> {
         let snapshot = self.store.evict(id)?;
         if snapshot.is_some() {
-            self.cache.invalidate_series(id.as_str());
+            self.cache.forget_series(id.as_str());
         }
         Ok(snapshot)
     }

@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use estima_core::engine::FitKey;
+use estima_core::fit::{candidate_fits, candidate_fits_scoped, FitCandidate};
 use estima_core::prelude::*;
-use estima_core::FitOptions;
+use estima_core::{CacheScope, FitOptions};
 
 /// A key for a synthetic series distinguished by `tag`.
 fn key(tag: u64) -> FitKey {
@@ -228,4 +229,63 @@ fn cached_cold_and_evicting_predictions_are_byte_identical() {
         assert_bit_identical(cold, warm);
         assert_bit_identical(cold, thrashed);
     }
+}
+
+/// The 12-point test series, or its first `n` points.
+fn campaign_series(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let xs: Vec<f64> = (1..=n).map(|c| c as f64).collect();
+    let ys = xs
+        .iter()
+        .map(|x| 1.0e9 + 2.0e7 * x + 5.0e5 * x * x)
+        .collect();
+    (xs, ys)
+}
+
+/// Fit the first `n` campaign points under `series`/`version` and check the
+/// candidates bit for bit against a cold, uncached fit. Returns how many
+/// prefix fits the call reused.
+fn scoped_fit(cache: &FitCache, series: &str, version: u64, n: usize) -> usize {
+    let (xs, ys) = campaign_series(n);
+    let options = FitOptions::default();
+    let engine = Engine::sequential();
+    let scope = CacheScope { series, version };
+    let before = cache.prefix_fits().0;
+    let cached = candidate_fits_scoped(&xs, &ys, &options, &engine, cache, Some(scope)).unwrap();
+    let cold = candidate_fits(&xs, &ys, &options).unwrap();
+    let bits = |c: &FitCandidate| -> Vec<u64> {
+        c.curve
+            .params
+            .iter()
+            .chain([&c.curve.checkpoint_rmse, &c.curve.training_rmse])
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert_eq!(cached.len(), cold.len());
+    for (a, b) in cached.iter().zip(&cold) {
+        assert_eq!(a.curve.kernel, b.curve.kernel);
+        assert_eq!(bits(a), bits(b));
+    }
+    cache.prefix_fits().0 - before
+}
+
+#[test]
+fn lineage_lives_from_invalidation_to_forget() {
+    let cache = FitCache::new();
+    // A cold series has no lineage.
+    assert_eq!(scoped_fit(&cache, "a", 1, 10), 0);
+    // An appended point bumps the version: the refit reuses.
+    cache.invalidate_series("a");
+    assert!(scoped_fit(&cache, "a", 2, 11) > 0);
+    // A bump that removes nothing (no predict in between) keeps the slot.
+    cache.invalidate_series("a");
+    cache.invalidate_series("a");
+    assert!(scoped_fit(&cache, "a", 4, 12) > 0);
+    // Lineage slots are per series: "b" cannot seed from "a".
+    assert_eq!(scoped_fit(&cache, "b", 1, 12), 0);
+    // A forgotten (deleted or expired) series leaves nothing to seed from.
+    cache.invalidate_series("a");
+    cache.forget_series("a");
+    assert_eq!(scoped_fit(&cache, "a", 1, 12), 0);
+    let (reused, computed) = cache.prefix_fits();
+    assert!(computed > reused, "{reused} reused, {computed} computed");
 }

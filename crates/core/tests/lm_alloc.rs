@@ -3,22 +3,48 @@
 //! iteration, Jacobian fill, normal-equation solve and trial step — performs
 //! zero heap allocation.
 //!
-//! A counting global allocator wraps the system allocator; the test snapshots
-//! the allocation counter around the fit and asserts it did not move.
+//! A counting global allocator wraps the system allocator. Counting is armed
+//! per thread: only allocations made by the thread running the measured fit
+//! are counted, so work on sibling test threads (the harness runs tests
+//! concurrently) can never land inside the counted window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use estima_core::levenberg::{levenberg_marquardt_into, Jacobian, LmOptions, LmWorkspace};
 use estima_core::KernelKind;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// True while this thread is inside a counted window.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while armed.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one allocation if the calling thread is armed. `try_with` keeps the
+/// allocator usable while thread-local storage is being torn down.
+fn record_allocation() {
+    let armed = ARMED.try_with(Cell::get).unwrap_or(false);
+    if armed {
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    }
+}
+
+/// Run `f` with allocation counting armed on the calling thread only, and
+/// return its result together with the number of allocations it made.
+fn count_allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    ALLOCATIONS.with(|count| count.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let result = f();
+    ARMED.with(|armed| armed.set(false));
+    (result, ALLOCATIONS.with(Cell::get))
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        record_allocation();
         System.alloc(layout)
     }
 
@@ -27,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        record_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,6 +65,37 @@ fn series(kernel: KernelKind, params: &[f64], n: u32) -> (Vec<f64>, Vec<f64>) {
     let xs: Vec<f64> = (1..=n).map(f64::from).collect();
     let ys: Vec<f64> = xs.iter().map(|x| kernel.eval(params, *x)).collect();
     (xs, ys)
+}
+
+#[test]
+fn counting_sees_only_the_measuring_thread() {
+    // A sibling thread allocates throughout the counted window — the window
+    // waits until it has seen 100 more sibling allocations — and must not be
+    // attributed; the measuring thread's own allocation must be.
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let stop = Arc::new(AtomicBool::new(false));
+    let progress = Arc::new(AtomicUsize::new(0));
+    let sibling = {
+        let (stop, progress) = (Arc::clone(&stop), Arc::clone(&progress));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                std::hint::black_box(vec![0u8; 64]);
+                progress.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    let ((), quiet) = count_allocations(|| {
+        let start = progress.load(Ordering::SeqCst);
+        while progress.load(Ordering::SeqCst) < start + 100 {
+            std::thread::yield_now();
+        }
+    });
+    let (_, own) = count_allocations(|| std::hint::black_box(vec![1u8; 16]));
+    stop.store(true, Ordering::SeqCst);
+    sibling.join().unwrap();
+    assert_eq!(quiet, 0, "a sibling thread's allocations were attributed");
+    assert_eq!(own, 1, "the measuring thread's allocation was missed");
 }
 
 #[test]
@@ -59,16 +116,14 @@ fn lm_with_prebuilt_workspace_never_allocates() {
         .expect("warm-up fit");
 
     let mut params = initial;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let stats = levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
-        .expect("counted fit");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let (stats, allocations) = count_allocations(|| {
+        levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
+    });
+    let stats = stats.expect("counted fit");
 
     assert_eq!(
-        after - before,
-        0,
-        "levenberg_marquardt_into allocated {} time(s) despite a prebuilt workspace",
-        after - before
+        allocations, 0,
+        "levenberg_marquardt_into allocated {allocations} time(s) despite a prebuilt workspace"
     );
     assert!(stats.iterations >= 1);
     assert!(stats.residual_norm.is_finite(), "fit diverged: {stats:?}");
@@ -92,9 +147,9 @@ fn finite_difference_mode_is_also_allocation_free() {
         .expect("warm-up fit");
 
     let mut params = initial;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
-        .expect("counted fit");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "FD mode allocated {}", after - before);
+    let (result, allocations) = count_allocations(|| {
+        levenberg_marquardt_into(&kernel, &xs, &ys, &mut params, &options, &mut workspace)
+    });
+    result.expect("counted fit");
+    assert_eq!(allocations, 0, "FD mode allocated {allocations}");
 }

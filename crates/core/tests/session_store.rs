@@ -1,10 +1,13 @@
 //! Session/store pinning tests:
 //!
 //! 1. Ingesting a series point-by-point through an [`EstimaSession`] yields
-//!    **byte-identical** predictions to one-shot [`Estima::predict`] on the
-//!    same complete set, over randomized workload shapes and ingestion
-//!    orders (the store's ordering/dedup policy makes arrival order
-//!    irrelevant).
+//!    **byte-identical** predictions to a fresh uncached [`Estima::predict`]
+//!    of the same set after every ingest, over randomized workload shapes
+//!    and ingestion orders (the store's ordering/dedup policy makes arrival
+//!    order irrelevant) — through a middle-core insert, a content-changing
+//!    re-ingest, and an evict followed by a re-create under the same id.
+//!    Session refits seed from the fit cache's prefix-fit lineage, so this
+//!    is the independent pin that seeding never changes a prediction.
 //! 2. Interleaved ingest/predict traffic from N threads sharing one session
 //!    never serves a fit from a stale version: every prediction matches a
 //!    fresh uncached prediction of exactly the snapshot it was taken from.
@@ -47,6 +50,26 @@ fn assert_bit_identical(a: &Prediction, b: &Prediction) {
         a.factor_correlation.to_bits(),
         b.factor_correlation.to_bits()
     );
+    assert_curve_identical(&a.scaling_factor, &b.scaling_factor);
+    assert_eq!(a.categories.len(), b.categories.len());
+    for (x, y) in a.categories.iter().zip(&b.categories) {
+        assert_eq!(x.category, y.category);
+        assert_curve_identical(&x.curve, &y.curve);
+    }
+}
+
+/// Bitwise equality of two fitted curves.
+fn assert_curve_identical(a: &FittedCurve, b: &FittedCurve) {
+    assert_eq!(a.kernel, b.kernel);
+    assert_eq!(a.training_points, b.training_points);
+    let bits = |c: &FittedCurve| -> Vec<u64> {
+        c.params
+            .iter()
+            .chain([&c.checkpoint_rmse, &c.training_rmse])
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(a), bits(b), "{:?} curve bits", a.kernel);
 }
 
 proptest! {
@@ -59,34 +82,72 @@ proptest! {
         quad in 0.05f64..0.45,
         spin in 0.1f64..4.0,
         order_salt in 0u64..1000,
+        gap_salt in 0u64..1000,
     ) {
         let config = EstimaConfig::default().with_parallelism(1);
+        let estima = Estima::new(config.clone());
         let series = SeriesId::new("prop").unwrap();
+        let target = TargetSpec::cores(measured * 4);
+        let session = EstimaSession::new(config);
+        // After every step: the session's (cached, seeded) prediction must
+        // equal a fresh uncached prediction of the set it should now hold.
+        let check = |expected: &MeasurementSet| {
+            let one_shot = estima.predict(expected, &target);
+            let incremental = session.predict(&series, &target);
+            match (one_shot, incremental) {
+                (Ok(a), Ok(b)) => assert_bit_identical(&a, &b),
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("one-shot {a:?} disagrees with incremental {b:?}"),
+            }
+        };
+        let reused = || session.cache().prefix_fits().0;
 
-        // The complete set, and a shuffled arrival order for the session.
-        let mut full = MeasurementSet::new("prop", 2.1);
-        let mut arrival: Vec<u32> = (1..=measured).collect();
+        // Shuffled arrival, one middle core count held back for later.
+        let gap = 2 + (gap_salt % u64::from(measured - 3)) as u32;
+        let mut arrival: Vec<u32> = (1..=measured).filter(|c| *c != gap).collect();
         for i in (1..arrival.len()).rev() {
             arrival.swap(i, (order_salt as usize).wrapping_mul(i) % (i + 1));
         }
-        for cores in 1..=measured {
-            full.push(synthetic_point(cores, serial, quad, spin));
-        }
-
-        let session = EstimaSession::new(config.clone());
         session.ensure(&series, 2.1).unwrap();
+        let mut expected = MeasurementSet::new("prop", 2.1);
         for cores in arrival {
-            session.ingest(&series, synthetic_point(cores, serial, quad, spin)).unwrap();
+            let point = synthetic_point(cores, serial, quad, spin);
+            session.ingest(&series, point.clone()).unwrap();
+            expected.push(point);
+            check(&expected);
         }
 
-        let target = TargetSpec::cores(measured * 4);
-        let one_shot = Estima::new(config).predict(&full, &target);
-        let incremental = session.predict(&series, &target);
-        match (one_shot, incremental) {
-            (Ok(a), Ok(b)) => assert_bit_identical(&a, &b),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => panic!("one-shot {a:?} disagrees with incremental {b:?}"),
+        // A middle-core insert shifts every later point of the series.
+        let point = synthetic_point(gap, serial, quad, spin);
+        session.ingest(&series, point.clone()).unwrap();
+        expected.push(point);
+        check(&expected);
+
+        // A re-ingest that changes a stored point's content.
+        let changed = synthetic_point(measured - 1, serial * 1.5, quad, spin);
+        session.ingest(&series, changed.clone()).unwrap();
+        expected.push(changed);
+        check(&expected);
+
+        // Evict, then re-create the same id from the same law in order: the
+        // eviction drops the series' lineage, so its first predict reuses
+        // nothing; later appends reuse again.
+        session.evict(&series).unwrap();
+        session.ensure(&series, 2.1).unwrap();
+        let mut expected = MeasurementSet::new("prop", 2.1);
+        let mut predicted = false;
+        for cores in 1..=measured {
+            let point = synthetic_point(cores, serial, quad, spin);
+            session.ingest(&series, point.clone()).unwrap();
+            expected.push(point);
+            let before = reused();
+            check(&expected);
+            if !predicted && session.predict(&series, &target).is_ok() {
+                predicted = true;
+                assert_eq!(reused(), before, "a re-created series seeded from its evicted lineage");
+            }
         }
+        assert!(reused() > 0, "no refit reused a prefix fit");
     }
 }
 

@@ -1095,6 +1095,7 @@ fn server_stats(state: &AppState, out: &mut ResponseBuf) {
     let cache = state.batch.cache();
     let store = state.batch.session().store();
     let (hits, misses) = cache.stats();
+    let (prefix_reused, prefix_computed) = cache.prefix_fits();
     let stats = &state.stats;
     let load = |counter: &std::sync::atomic::AtomicU64| counter.load(Ordering::Relaxed) as f64;
     let quantile = |q: f64| match stats.latency_quantile_ns(q) {
@@ -1205,6 +1206,13 @@ fn server_stats(state: &AppState, out: &mut ResponseBuf) {
                 (
                     "invalidations".to_string(),
                     Json::Number(cache.invalidations() as f64),
+                ),
+                (
+                    "prefix_fits".to_string(),
+                    Json::Object(vec![
+                        ("reused".to_string(), Json::Number(prefix_reused as f64)),
+                        ("computed".to_string(), Json::Number(prefix_computed as f64)),
+                    ]),
                 ),
             ]),
         ),

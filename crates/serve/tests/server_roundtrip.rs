@@ -434,13 +434,35 @@ fn fit_cache_versioning_over_http() {
         "an ingest into va invalidated vb's fits"
     );
 
-    // `va` must refit: misses move for that series only.
+    // `va` must refit: misses move for that series only. The refit seeds
+    // from the fits of va's previous version, whose first 12 points it
+    // shares bit for bit, so it reuses prefix fits instead of refitting all.
+    let prefix_fits = |client: &mut Client| -> (u64, u64) {
+        let (_, stats) = client.request("GET", "/v1/stats", "");
+        let stats = Json::parse(&stats).unwrap();
+        let prefix_fits = stats.get("cache").unwrap().get("prefix_fits").unwrap();
+        (
+            prefix_fits.get("reused").and_then(Json::as_u64).unwrap(),
+            prefix_fits.get("computed").and_then(Json::as_u64).unwrap(),
+        )
+    };
+    let (reused_before, computed_before) = prefix_fits(&mut client);
+    assert!(computed_before > 0, "cold fits computed no prefix fits");
     let (status, _) = client.request("POST", "/v1/series/va/predict", &target);
     assert_eq!(status, 200);
     let (_, misses_after_va) = cache_counters(&mut client);
     assert!(
         misses_after_va > misses_warm,
         "va served fits from a stale version"
+    );
+    let (reused_after, computed_after) = prefix_fits(&mut client);
+    assert!(
+        reused_after > reused_before,
+        "the refit after an appended point reused no prefix fit"
+    );
+    assert!(
+        computed_after - computed_before < reused_after - reused_before,
+        "the refit after an appended point fitted more prefixes than it reused"
     );
 
     // The stats store section tracks the two series.

@@ -3,7 +3,7 @@
 //! Implements just the API surface the workspace benches use —
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`] /
 //! [`BenchmarkGroup::bench_with_input`], [`BenchmarkId`], [`Bencher::iter`],
-//! [`black_box`], and the [`criterion_group!`] / [`criterion_main!`] macros —
+//! [`Bencher::iter_batched`] with [`BatchSize`], [`black_box`], and the [`criterion_group!`] / [`criterion_main!`] macros —
 //! backed by a simple wall-clock timing loop instead of criterion's
 //! statistical machinery. Each benchmark warms up briefly, then runs batches
 //! until a small time budget is spent and reports the minimum, median and
@@ -229,6 +229,62 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
+
+    /// Like [`Bencher::iter`], but every call of `routine` consumes a fresh
+    /// input built by `setup`. Inputs for a batch are built before its timer
+    /// starts, and the outputs are dropped after it stops, so neither set-up
+    /// nor tear-down is timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let warmup = warmup_budget();
+        let warm_start = Instant::now();
+        let mut warm_iters: u64 = 0;
+        let mut warm_timed = Duration::ZERO;
+        while warm_start.elapsed() < warmup {
+            let input = setup();
+            let timed = Instant::now();
+            black_box(routine(input));
+            warm_timed += timed.elapsed();
+            warm_iters += 1;
+        }
+        let per_iter = warm_timed.as_secs_f64() / warm_iters.max(1) as f64;
+        let batch = match size {
+            BatchSize::SmallInput => ((0.005 / per_iter.max(1e-9)) as u64).clamp(1, 10_000),
+            BatchSize::LargeInput => ((0.005 / per_iter.max(1e-9)) as u64).clamp(1, 100),
+            BatchSize::PerIteration => 1,
+        };
+
+        let budget = measure_budget();
+        let start = Instant::now();
+        let mut inputs = Vec::with_capacity(batch as usize);
+        let mut outputs = Vec::with_capacity(batch as usize);
+        while start.elapsed() < budget {
+            inputs.extend((0..batch).map(|_| setup()));
+            let batch_start = Instant::now();
+            for input in inputs.drain(..) {
+                outputs.push(routine(input));
+            }
+            let batch_time = batch_start.elapsed();
+            outputs.clear();
+            self.iters_done += batch;
+            self.samples
+                .push(batch_time.as_secs_f64() * 1e9 / batch as f64);
+        }
+        self.elapsed = start.elapsed();
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] builds ahead of each timed
+/// batch, mirroring criterion's enum: small inputs batch freely, large ones
+/// in batches of at most 100, and `PerIteration` times one call at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    SmallInput,
+    LargeInput,
+    PerIteration,
 }
 
 /// Median of a sample set (mean of the middle pair for even counts).
