@@ -4,12 +4,14 @@
 //! persistent keep-alive connection against an in-process `estima-serve`
 //! instance, one `POST /v1/predict` per iteration. The warm case is
 //! dominated by HTTP framing + JSON encode/decode (the fit comes from the
-//! sharded cache); the in-process baseline from `benches/pipeline.rs`
+//! sharded cache); `series_predict_roundtrip_warm` asks for the same
+//! prediction of a stored series, which the version memo answers with a
+//! copy of the rendered body. The in-process baseline from `benches/pipeline.rs`
 //! (`predict_12_to_48`) is the number to compare against. The sustained
 //! multi-connection view (throughput, p99) comes from the `loadgen` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use estima_core::{Measurement, MeasurementSet, StallCategory, TargetSpec};
+use estima_core::{Measurement, MeasurementSet, SeriesId, StallCategory, TargetSpec};
 use estima_serve::{wire, Client, Server, ServerConfig};
 
 /// The same quickstart-sized job `loadgen` uses, from the shared harness.
@@ -30,12 +32,31 @@ fn bench_http_roundtrip(c: &mut Criterion) {
     let (set, target) = job();
     let body = wire::predict_request_to_json(&set, &target).render();
     let mut client = Client::connect(handle.addr()).expect("connect bench client");
+    // The same job stored as a series: every timed series predict after
+    // the first is answered from its version memo.
+    let series = SeriesId::new("bench").expect("valid series id");
+    let ingest =
+        wire::ingest_request_to_json(&series, Some(set.frequency_ghz), set.measurements()).render();
+    let response = client
+        .request("POST", "/v1/measurements", &ingest)
+        .expect("bench ingest");
+    assert_eq!(response.status, 200);
+    let series_target = wire::target_spec_to_json(&target).render();
 
     let mut group = c.benchmark_group("serve");
     group.bench_function("predict_roundtrip_warm", |b| {
         b.iter(|| {
             let response = client
                 .request("POST", "/v1/predict", &body)
+                .expect("bench request");
+            assert_eq!(response.status, 200);
+            response.body.len()
+        })
+    });
+    group.bench_function("series_predict_roundtrip_warm", |b| {
+        b.iter(|| {
+            let response = client
+                .request("POST", "/v1/series/bench/predict", &series_target)
                 .expect("bench request");
             assert_eq!(response.status, 200);
             response.body.len()

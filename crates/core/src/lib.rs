@@ -98,7 +98,8 @@ pub use measurement::{Measurement, MeasurementSet, StallCategory, StallSource};
 pub use plan::{ConfidenceInterval, MeasurementPlan, PlanSuggestion, Planner};
 pub use predictor::{CategoryExtrapolation, Estima, Prediction};
 pub use store::{
-    EstimaSession, MeasurementStore, SeriesId, SeriesInfo, SeriesSnapshot, StoreLimits,
+    EstimaSession, MeasurementStore, MemoKey, MemoQuery, SeriesId, SeriesInfo, SeriesSnapshot,
+    StoreLimits, VersionMemo,
 };
 pub use time_extrapolation::{TimeExtrapolation, TimePrediction};
 pub use wal::{DurabilityOptions, WalStats};

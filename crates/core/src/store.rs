@@ -37,6 +37,18 @@
 //! component: a stale fit can never be served because its key names a
 //! version that no longer matches the snapshot being predicted.
 //!
+//! # Version memo
+//!
+//! Every stored version also carries a [`VersionMemo`]: a handful of
+//! rendered answers (response bodies) to reads of exactly that content.
+//! The memo belongs to the record, not to the version number: each content
+//! change installs a fresh, empty memo, an idempotent re-ingest keeps it,
+//! and evicting the series (explicitly or by TTL) drops it. A series that
+//! is deleted and re-created therefore starts from an empty memo even
+//! though its version restarts at 1. A [`SeriesSnapshot`] carries the memo
+//! of the content it holds, so an answer computed from a snapshot is only
+//! ever stored next to that snapshot's measurements.
+//!
 //! # Quick example
 //!
 //! ```
@@ -141,6 +153,118 @@ impl std::str::FromStr for SeriesId {
     }
 }
 
+/// How many answers one [`VersionMemo`] holds; the oldest is replaced
+/// once it is full.
+pub const MEMO_ENTRIES: usize = 4;
+
+/// The read a memoized answer answers, with the options that shape it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoQuery {
+    /// A series predict and its opt-in extras.
+    Predict {
+        /// A jackknife confidence interval is attached.
+        confidence: bool,
+        /// A bottleneck diagnosis is attached.
+        diagnosis: bool,
+    },
+    /// A measurement plan ranking at most `suggestions` next measurements.
+    Plan {
+        /// The requested suggestion count.
+        suggestions: usize,
+    },
+}
+
+/// The exact identity of one memoized answer: the query plus the bit
+/// patterns of its [`TargetSpec`]. Keys compare with `==` on every field —
+/// never through a hash, so two different requests can never share an
+/// answer — and are a few words long whatever the request body looked
+/// like.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoKey {
+    query: MemoQuery,
+    cores: u32,
+    frequency_ghz: Option<u64>,
+    dataset_scale: u64,
+}
+
+impl MemoKey {
+    /// The key of `query` against `target`.
+    pub fn new(query: MemoQuery, target: &TargetSpec) -> MemoKey {
+        MemoKey {
+            query,
+            cores: target.cores,
+            frequency_ghz: target.frequency_ghz.map(f64::to_bits),
+            dataset_scale: target.dataset_scale.to_bits(),
+        }
+    }
+}
+
+/// Rendered answers to reads of one series version, at most
+/// [`MEMO_ENTRIES`] of them. An answer depends only on the measurements
+/// and the request, so while the content is unchanged a repeat read can
+/// copy the stored bytes instead of recomputing them. See the
+/// [module docs](crate::store#version-memo) for its lifetime.
+#[derive(Debug, Default)]
+pub struct VersionMemo {
+    slots: Mutex<MemoSlots>,
+}
+
+/// Why a memo lock cannot be poisoned: its critical sections only search,
+/// clone an `Arc` and fill a slot, none of which panics.
+const MEMO_POISONED: &str = "a thread panicked holding a version-memo lock";
+
+#[derive(Debug, Default)]
+struct MemoSlots {
+    entries: Vec<(MemoKey, Arc<str>)>,
+    /// Index of the entry the next insert replaces once `entries` is full.
+    oldest: usize,
+}
+
+impl VersionMemo {
+    /// Append the answer stored under `key` to `out`. Returns `false`
+    /// (leaving `out` alone) when there is none.
+    pub fn copy_into(&self, key: &MemoKey, out: &mut String) -> bool {
+        let body = {
+            let slots = self.slots.lock().expect(MEMO_POISONED);
+            slots
+                .entries
+                .iter()
+                .find(|(stored, _)| stored == key)
+                .map(|(_, body)| Arc::clone(body))
+        };
+        match body {
+            Some(body) => {
+                out.push_str(&body);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Store `body` as the answer under `key`, replacing the oldest entry
+    /// when the memo is full. A key already present keeps its answer: two
+    /// concurrent misses of one read computed the same bytes.
+    pub fn insert(&self, key: MemoKey, body: &str) {
+        let body: Arc<str> = Arc::from(body);
+        let mut slots = self.slots.lock().expect(MEMO_POISONED);
+        if slots.entries.iter().any(|(stored, _)| *stored == key) {
+            return;
+        }
+        if slots.entries.len() < MEMO_ENTRIES {
+            slots.entries.push((key, body));
+        } else {
+            let oldest = slots.oldest;
+            slots.entries[oldest] = (key, body);
+            slots.oldest = (oldest + 1) % MEMO_ENTRIES;
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.lock().expect(MEMO_POISONED).entries.len()
+    }
+}
+
 /// What the store holds for one series.
 #[derive(Debug)]
 struct SeriesRecord {
@@ -153,6 +277,29 @@ struct SeriesRecord {
     /// When this series last changed content — the clock
     /// [`StoreLimits::ttl`] eviction runs against.
     last_write: Instant,
+    /// Rendered answers for this content; replaced by an empty memo on
+    /// every content change.
+    memo: Arc<VersionMemo>,
+}
+
+impl SeriesRecord {
+    fn new(set: MeasurementSet, version: u64, last_write: Instant) -> SeriesRecord {
+        SeriesRecord {
+            set: Arc::new(set),
+            version,
+            last_write,
+            memo: Arc::default(),
+        }
+    }
+
+    fn snapshot(&self, id: &SeriesId) -> SeriesSnapshot {
+        SeriesSnapshot {
+            id: id.clone(),
+            version: self.version,
+            set: Arc::clone(&self.set),
+            memo: Arc::clone(&self.memo),
+        }
+    }
 }
 
 /// Resource bounds for graceful degradation under unbounded traffic; all
@@ -214,6 +361,8 @@ pub struct SeriesSnapshot {
     pub version: u64,
     /// The measurements at that version.
     pub set: Arc<MeasurementSet>,
+    /// The memo of answers to reads of `set` ([`VersionMemo`]).
+    pub memo: Arc<VersionMemo>,
 }
 
 /// Summary of one stored series, as reported by [`MeasurementStore::list`]
@@ -295,16 +444,7 @@ impl MeasurementStore {
         let series = recovered
             .series
             .into_iter()
-            .map(|(id, (version, set))| {
-                (
-                    id,
-                    SeriesRecord {
-                        set: Arc::new(set),
-                        version,
-                        last_write: now,
-                    },
-                )
-            })
+            .map(|(id, (version, set))| (id, SeriesRecord::new(set, version, now)))
             .collect();
         Ok(MeasurementStore {
             series: RwLock::new(series),
@@ -490,11 +630,11 @@ impl MeasurementStore {
                 }
                 series.insert(
                     id.clone(),
-                    SeriesRecord {
-                        set: Arc::new(MeasurementSet::new(id.as_str(), frequency_ghz)),
-                        version: 1,
-                        last_write: Instant::now(),
-                    },
+                    SeriesRecord::new(
+                        MeasurementSet::new(id.as_str(), frequency_ghz),
+                        1,
+                        Instant::now(),
+                    ),
                 );
                 self.ingests.fetch_add(1, Ordering::Relaxed);
                 self.maybe_compact(&series);
@@ -548,6 +688,7 @@ impl MeasurementStore {
         Arc::make_mut(&mut record.set).push(measurement);
         record.version = version;
         record.last_write = Instant::now();
+        record.memo = Arc::default();
         self.ingests.fetch_add(1, Ordering::Relaxed);
         self.maybe_compact(&series);
         Ok((version, true))
@@ -646,27 +787,26 @@ impl MeasurementStore {
                 )?;
             }
         }
-        let record = series.entry(id.clone()).or_insert_with(|| SeriesRecord {
-            set: Arc::new(MeasurementSet::new(id.as_str(), frequency_ghz)),
-            version: 1,
-            last_write: Instant::now(),
+        let record = series.entry(id.clone()).or_insert_with(|| {
+            SeriesRecord::new(
+                MeasurementSet::new(id.as_str(), frequency_ghz),
+                1,
+                Instant::now(),
+            )
         });
         if changed {
             let stored = Arc::make_mut(&mut record.set);
             for measurement in set.measurements() {
                 stored.push(measurement.clone());
             }
+            record.memo = Arc::default();
         }
         record.version = version;
         if mutations > 0 {
             record.last_write = Instant::now();
             self.ingests.fetch_add(mutations, Ordering::Relaxed);
         }
-        let snapshot = SeriesSnapshot {
-            id: id.clone(),
-            version: record.version,
-            set: Arc::clone(&record.set),
-        };
+        let snapshot = record.snapshot(id);
         if mutations > 0 {
             self.maybe_compact(&series);
         }
@@ -677,11 +817,7 @@ impl MeasurementStore {
     /// exist.
     pub fn snapshot(&self, id: &SeriesId) -> Option<SeriesSnapshot> {
         let series = self.series.read().unwrap();
-        series.get(id).map(|record| SeriesSnapshot {
-            id: id.clone(),
-            version: record.version,
-            set: Arc::clone(&record.set),
-        })
+        series.get(id).map(|record| record.snapshot(id))
     }
 
     /// Summaries of every stored series, ordered by id.
@@ -711,11 +847,7 @@ impl MeasurementStore {
             wal.lock().unwrap().append_evict(id)?;
         }
         let record = series.remove(id).expect("checked above under this lock");
-        Ok(Some(SeriesSnapshot {
-            id: id.clone(),
-            version: record.version,
-            set: record.set,
-        }))
+        Ok(Some(record.snapshot(id)))
     }
 
     /// Number of stored series.
@@ -738,6 +870,14 @@ impl MeasurementStore {
     /// content) since construction.
     pub fn ingests(&self) -> u64 {
         self.ingests.load(Ordering::Relaxed)
+    }
+}
+
+/// The fit-cache scope of a snapshot's reads: its `(series, version)`.
+fn scope(snapshot: &SeriesSnapshot) -> CacheScope<'_> {
+    CacheScope {
+        series: snapshot.id.as_str(),
+        version: snapshot.version,
     }
 }
 
@@ -862,6 +1002,17 @@ impl EstimaSession {
         Ok(snapshot)
     }
 
+    /// A snapshot of one series, or [`EstimaError::SeriesNotFound`] when it
+    /// does not exist. Serving takes this once per request and answers the
+    /// whole request from it (memo lookup, then the `*_from` reads below).
+    pub fn require(&self, id: &SeriesId) -> Result<SeriesSnapshot> {
+        self.store
+            .snapshot(id)
+            .ok_or_else(|| EstimaError::SeriesNotFound {
+                series: id.to_string(),
+            })
+    }
+
     /// Predict a named series at its current version.
     ///
     /// The snapshot is taken atomically (concurrent ingests never produce a
@@ -870,21 +1021,17 @@ impl EstimaSession {
     /// collection changes *when* measurements arrive, never what a
     /// prediction says.
     pub fn predict(&self, id: &SeriesId, target: &TargetSpec) -> Result<Prediction> {
-        let snapshot = self
-            .store
-            .snapshot(id)
-            .ok_or_else(|| EstimaError::SeriesNotFound {
-                series: id.to_string(),
-            })?;
-        self.estima.predict_scoped(
-            &snapshot.set,
-            target,
-            &self.cache,
-            CacheScope {
-                series: snapshot.id.as_str(),
-                version: snapshot.version,
-            },
-        )
+        self.predict_from(&self.require(id)?, target)
+    }
+
+    /// [`EstimaSession::predict`] against a snapshot already taken.
+    pub fn predict_from(
+        &self,
+        snapshot: &SeriesSnapshot,
+        target: &TargetSpec,
+    ) -> Result<Prediction> {
+        self.estima
+            .predict_scoped(&snapshot.set, target, &self.cache, scope(snapshot))
     }
 
     /// Predict an anonymous, caller-held measurement set through the
@@ -906,19 +1053,17 @@ impl EstimaSession {
         id: &SeriesId,
         target: &TargetSpec,
     ) -> Result<Prediction> {
-        let snapshot = self
-            .store
-            .snapshot(id)
-            .ok_or_else(|| EstimaError::SeriesNotFound {
-                series: id.to_string(),
-            })?;
-        let planner = Planner::new(&self.estima)
-            .with_cache(&self.cache)
-            .with_scope(CacheScope {
-                series: snapshot.id.as_str(),
-                version: snapshot.version,
-            });
-        let (prediction, _) = planner.confidence(&snapshot.set, target)?;
+        self.predict_with_confidence_from(&self.require(id)?, target)
+    }
+
+    /// [`EstimaSession::predict_with_confidence`] against a snapshot
+    /// already taken.
+    pub fn predict_with_confidence_from(
+        &self,
+        snapshot: &SeriesSnapshot,
+        target: &TargetSpec,
+    ) -> Result<Prediction> {
+        let (prediction, _) = self.planner(snapshot).confidence(&snapshot.set, target)?;
         Ok(prediction)
     }
 
@@ -933,19 +1078,25 @@ impl EstimaSession {
         target: &TargetSpec,
         max_suggestions: usize,
     ) -> Result<MeasurementPlan> {
-        let snapshot = self
-            .store
-            .snapshot(id)
-            .ok_or_else(|| EstimaError::SeriesNotFound {
-                series: id.to_string(),
-            })?;
-        let planner = Planner::new(&self.estima)
+        self.plan_from(&self.require(id)?, target, max_suggestions)
+    }
+
+    /// [`EstimaSession::plan`] against a snapshot already taken.
+    pub fn plan_from(
+        &self,
+        snapshot: &SeriesSnapshot,
+        target: &TargetSpec,
+        max_suggestions: usize,
+    ) -> Result<MeasurementPlan> {
+        self.planner(snapshot)
+            .plan(&snapshot.set, target, max_suggestions)
+    }
+
+    /// A planner over this session's cache, scoped to `snapshot`.
+    fn planner<'a>(&'a self, snapshot: &'a SeriesSnapshot) -> Planner<'a> {
+        Planner::new(&self.estima)
             .with_cache(&self.cache)
-            .with_scope(CacheScope {
-                series: snapshot.id.as_str(),
-                version: snapshot.version,
-            });
-        planner.plan(&snapshot.set, target, max_suggestions)
+            .with_scope(scope(snapshot))
     }
 
     /// Predict a named series and diagnose its scaling losses at the target
@@ -1090,6 +1241,90 @@ mod tests {
         let merged = session.ingest_set(&app, &snapshot.set).unwrap();
         assert_eq!(merged.version, version);
         assert_eq!(session.cache().invalidations(), 0);
+    }
+
+    #[test]
+    fn version_memo_is_bounded_and_replaces_its_oldest_entry() {
+        let memo = VersionMemo::default();
+        let key = |cores| {
+            MemoKey::new(
+                MemoQuery::Predict {
+                    confidence: false,
+                    diagnosis: false,
+                },
+                &TargetSpec::cores(cores),
+            )
+        };
+        for cores in 0..MEMO_ENTRIES as u32 + 2 {
+            memo.insert(key(cores), &cores.to_string());
+        }
+        assert_eq!(memo.len(), MEMO_ENTRIES);
+        let mut out = String::new();
+        assert!(!memo.copy_into(&key(0), &mut out));
+        assert!(!memo.copy_into(&key(1), &mut out));
+        assert!(out.is_empty(), "a miss wrote into the output");
+        assert!(memo.copy_into(&key(2), &mut out));
+        assert_eq!(out, "2");
+        // A key already present keeps its first answer.
+        memo.insert(key(2), "other");
+        out.clear();
+        assert!(memo.copy_into(&key(2), &mut out));
+        assert_eq!(out, "2");
+        // Every field of the key takes part in the comparison.
+        let plan = MemoKey::new(MemoQuery::Plan { suggestions: 3 }, &TargetSpec::cores(2));
+        let scaled = MemoKey::new(
+            MemoQuery::Plan { suggestions: 3 },
+            &TargetSpec::cores(2).with_dataset_scale(2.0),
+        );
+        assert_ne!(plan, key(2));
+        assert_ne!(plan, scaled);
+        assert_ne!(
+            MemoKey::new(
+                MemoQuery::Plan { suggestions: 3 },
+                &TargetSpec::cores(2).with_frequency_ghz(2.1)
+            ),
+            plan
+        );
+    }
+
+    #[test]
+    fn content_changes_replace_the_memo_and_reads_keep_it() {
+        let store = MeasurementStore::new();
+        let app = id("app");
+        store.ensure(&app, 2.1).unwrap();
+        store.ingest(&app, point(1)).unwrap();
+        let memo = store.snapshot(&app).unwrap().memo;
+        let same =
+            |store: &MeasurementStore| Arc::ptr_eq(&memo, &store.snapshot(&app).unwrap().memo);
+
+        // Reads and content-idempotent writes keep the memo.
+        store.ensure(&app, 2.1).unwrap();
+        store.ingest(&app, point(1)).unwrap();
+        let current = store.snapshot(&app).unwrap().set;
+        store.ingest_set(&app, &current).unwrap();
+        assert!(same(&store), "an idempotent write replaced the memo");
+
+        // Every content change installs a fresh one.
+        store.ingest(&app, point(2)).unwrap();
+        assert!(!same(&store), "an ingest kept the memo");
+        let memo = store.snapshot(&app).unwrap().memo;
+        store
+            .ingest_set(&app, &MeasurementSet::new("x", 2.1).with(point(3)))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&memo, &store.snapshot(&app).unwrap().memo));
+
+        // Evicting drops it with the record: a re-created series starts
+        // over at version 1 with an empty memo.
+        let snapshot = store.snapshot(&app).unwrap();
+        snapshot.memo.insert(
+            MemoKey::new(MemoQuery::Plan { suggestions: 1 }, &TargetSpec::cores(8)),
+            "old",
+        );
+        store.evict(&app).unwrap().unwrap();
+        assert_eq!(store.ensure(&app, 2.1).unwrap(), 1);
+        let recreated = store.snapshot(&app).unwrap().memo;
+        assert_eq!(recreated.len(), 0);
+        assert!(!Arc::ptr_eq(&snapshot.memo, &recreated));
     }
 
     #[test]

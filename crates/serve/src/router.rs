@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use estima_core::json::Json;
+use estima_core::json::{Json, JsonReader};
 
 use crate::client::Client;
 use crate::http::{Request, ResponseBuf};
@@ -555,15 +555,7 @@ impl Router {
                 // Stateless predicts route by app name for fit-cache
                 // affinity; an undecodable body goes to shard 0, whose
                 // decoder produces the identical 400.
-                let key = Json::parse(text)
-                    .ok()
-                    .and_then(|body| {
-                        body.get("measurements")
-                            .and_then(|set| set.get("app_name"))
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                    })
-                    .unwrap_or_default();
+                let key = routing_key(text, &["measurements", "app_name"]);
                 Some(self.single(&key, request, Some(text.to_string())))
             }
             ("POST", "/v1/batch") => {
@@ -574,14 +566,7 @@ impl Router {
             ("POST", "/v1/measurements") => {
                 stats.measurements_requests.fetch_add(1, Ordering::Relaxed);
                 let text = utf8_body(request, out)?;
-                let key = Json::parse(text)
-                    .ok()
-                    .and_then(|body| {
-                        body.get("series")
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                    })
-                    .unwrap_or_default();
+                let key = routing_key(text, &["series"]);
                 Some(self.single(&key, request, Some(text.to_string())))
             }
             ("GET", "/v1/series") => {
@@ -889,9 +874,115 @@ fn utf8_body<'a>(request: &'a Request, out: &mut ResponseBuf) -> Option<&'a str>
     }
 }
 
+/// The routing key of a request body: the string at `path` (object keys
+/// from the top), found by a field scan instead of a full [`Json`] tree.
+/// The scan still reads the whole document, so it answers exactly what
+/// `Json::parse` followed by [`Json::get`] along `path` would: the first
+/// occurrence of each key wins, and a decode error or a missing or
+/// non-string field gives `""` (shard 0, whose decoder produces the single
+/// node's 400 bytes).
+fn routing_key(text: &str, path: &[&str]) -> String {
+    let mut reader = JsonReader::new(text);
+    let mut key = None;
+    match scan_for_key(&mut reader, path, &mut key).and_then(|()| reader.finish()) {
+        Ok(()) => key.unwrap_or_default(),
+        Err(_) => String::new(),
+    }
+}
+
+/// Read one value whole, setting `found` to the string at `path` below it.
+/// Only the first occurrence of a key is descended into; every other value
+/// is skipped (which still validates it).
+fn scan_for_key(
+    reader: &mut JsonReader<'_>,
+    path: &[&str],
+    found: &mut Option<String>,
+) -> Result<(), String> {
+    match (path.split_first(), reader.peek()) {
+        (None, Some(b'"')) => {
+            let mut value = String::new();
+            reader.string_value(&mut value)?;
+            *found = Some(value);
+            Ok(())
+        }
+        (Some((field, rest)), Some(b'{')) => {
+            reader.begin_object()?;
+            let (mut first, mut key, mut seen) = (true, String::new(), false);
+            while reader.next_key(&mut first, &mut key)? {
+                if !seen && key == *field {
+                    seen = true;
+                    scan_for_key(reader, rest, found)?;
+                } else {
+                    reader.skip_value()?;
+                }
+            }
+            Ok(())
+        }
+        _ => reader.skip_value(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tree-walking definition the field scan must reproduce.
+    fn tree_key(text: &str, path: &[&str]) -> String {
+        Json::parse(text)
+            .ok()
+            .and_then(|mut value| {
+                for field in path {
+                    value = value.get(field)?.clone();
+                }
+                value.as_str().map(str::to_string)
+            })
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn routing_key_scan_matches_the_tree_lookup() {
+        let predict = ["measurements", "app_name"];
+        let ingest = ["series"];
+        let deep = format!("{}{}", "[".repeat(200), "]".repeat(200));
+        let deep_field = format!(
+            r#"{{"series":"s","x":{}1{}}}"#,
+            "[".repeat(130),
+            "]".repeat(130)
+        );
+        let documents = [
+            r#"{"measurements":{"app_name":"a","points":[]},"target":{"cores":4}}"#,
+            r#" { "target" : {"cores":4} , "measurements" : { "points" : [1,{"app_name":"x"}], "app_name" : "b\u00e9\"" } } "#,
+            r#"{"measurements":{"app_name":"first"},"measurements":{"app_name":"second"}}"#,
+            r#"{"measurements":{"app_name":"one","app_name":"two"}}"#,
+            r#"{"measurements":{"app_name":7,"app_name":"late"}}"#,
+            r#"{"measurements":[],"measurements":{"app_name":"late"}}"#,
+            r#"{"measurements":{"app_name":"trailing"}} x"#,
+            r#"{"measurements":{"app_name":"unterminated"}"#,
+            r#"{"measurements":{"app_name":"bad-number","n":01x}}"#,
+            r#"{"series":"s1","points":[{"cores":1}]}"#,
+            r#"{"points":[],"series":"s2","series":"s3"}"#,
+            r#"{"series":null}"#,
+            r#"{"series":{"series":"nested"}}"#,
+            r#"["series","s"]"#,
+            r#""series""#,
+            "",
+            "{}",
+            "{",
+            deep.as_str(),
+            deep_field.as_str(),
+        ];
+        for text in documents {
+            for path in [&predict[..], &ingest[..]] {
+                assert_eq!(
+                    routing_key(text, path),
+                    tree_key(text, path),
+                    "diverged on {text:?} at {path:?}"
+                );
+            }
+        }
+        assert_eq!(routing_key(documents[2], &predict), "first");
+        assert_eq!(routing_key(documents[10], &ingest), "s2");
+    }
 
     #[test]
     fn rendezvous_assignment_is_stable_and_total() {

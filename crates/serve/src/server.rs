@@ -36,7 +36,7 @@ use estima_core::json::Json;
 use estima_core::store::EstimaSession;
 use estima_core::{
     BatchPredictor, BottleneckReport, DurabilityOptions, EstimaConfig, EstimaError, FitCache,
-    MeasurementSet, MeasurementStore, SeriesId, StoreLimits,
+    MeasurementSet, MeasurementStore, MemoKey, MemoQuery, SeriesId, SeriesSnapshot, StoreLimits,
 };
 
 use crate::http::{
@@ -1214,6 +1214,13 @@ fn server_stats(state: &AppState, out: &mut ResponseBuf) {
                         ("computed".to_string(), Json::Number(prefix_computed as f64)),
                     ]),
                 ),
+                (
+                    "memo".to_string(),
+                    Json::Object(vec![
+                        ("hits".to_string(), Json::Number(load(&stats.memo_hits))),
+                        ("misses".to_string(), Json::Number(load(&stats.memo_misses))),
+                    ]),
+                ),
             ]),
         ),
         (
@@ -1427,7 +1434,8 @@ fn series_delete(raw_id: &str, state: &AppState, out: &mut ResponseBuf) {
 /// `POST /v1/series/{id}/predict`: the body is a bare `TargetSpec` object —
 /// the measurements live server-side, so nothing is reshipped per request.
 /// The response body is identical to `POST /v1/predict` with the series'
-/// full set.
+/// full set. A repeat read of an unchanged series is copied from the
+/// version memo ([`memoized`]).
 fn series_predict(raw_id: &str, request: &Request, state: &AppState, out: &mut ResponseBuf) {
     let Some(id) = parse_series_id(raw_id, out) else {
         return;
@@ -1439,23 +1447,32 @@ fn series_predict(raw_id: &str, request: &Request, state: &AppState, out: &mut R
         Ok(decoded) => decoded,
         Err(e) => return respond_error(out, 400, "bad_request", &e.0),
     };
-    let started = Instant::now();
-    let result = if extras.confidence {
-        session(state).predict_with_confidence(&id, &target)
-    } else {
-        session(state).predict(&id, &target)
+    let query = MemoQuery::Predict {
+        confidence: extras.confidence,
+        diagnosis: extras.diagnosis,
     };
-    state.stats.record_latency(started.elapsed());
-    match result {
-        Ok(prediction) => {
-            state.stats.predictions.fetch_add(1, Ordering::Relaxed);
-            let diagnosis = extras
-                .diagnosis
-                .then(|| BottleneckReport::from_prediction(&prediction, target.cores));
-            out.status = 200;
-            wire::write_prediction_response(&prediction, diagnosis.as_ref(), &mut out.body);
+    let key = MemoKey::new(query, &target);
+    memoized(&id, key, state, out, |snapshot, out| {
+        let session = session(state);
+        let result = if extras.confidence {
+            session.predict_with_confidence_from(snapshot, &target)
+        } else {
+            session.predict_from(snapshot, &target)
+        };
+        match result {
+            Ok(prediction) => {
+                let diagnosis = extras
+                    .diagnosis
+                    .then(|| BottleneckReport::from_prediction(&prediction, target.cores));
+                out.status = 200;
+                wire::write_prediction_response(&prediction, diagnosis.as_ref(), &mut out.body);
+            }
+            Err(e) => store_error(&e, out),
         }
-        Err(e) => store_error(&e, out),
+    });
+    if out.status == 200 {
+        // Counted whether computed or copied from the memo.
+        state.stats.predictions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1463,7 +1480,7 @@ fn series_predict(raw_id: &str, request: &Request, state: &AppState, out: &mut R
 /// body is a bare `TargetSpec` plus an optional `suggestions` count; the
 /// response carries the current jackknife interval, the bottleneck
 /// diagnosis, and the ranked suggestions (see
-/// [`estima_core::plan::Planner`]).
+/// [`estima_core::plan::Planner`]). Memoized like a series predict.
 fn series_plan(raw_id: &str, request: &Request, state: &AppState, out: &mut ResponseBuf) {
     let Some(id) = parse_series_id(raw_id, out) else {
         return;
@@ -1475,14 +1492,47 @@ fn series_plan(raw_id: &str, request: &Request, state: &AppState, out: &mut Resp
         Ok(decoded) => decoded,
         Err(e) => return respond_error(out, 400, "bad_request", &e.0),
     };
-    let started = Instant::now();
-    let result = session(state).plan(&id, &target, suggestions);
-    state.stats.record_latency(started.elapsed());
-    match result {
-        Ok(plan) => {
-            out.status = 200;
-            wire::write_plan(&plan, &mut out.body);
+    let key = MemoKey::new(MemoQuery::Plan { suggestions }, &target);
+    memoized(&id, key, state, out, |snapshot, out| {
+        match session(state).plan_from(snapshot, &target, suggestions) {
+            Ok(plan) => {
+                out.status = 200;
+                wire::write_plan(&plan, &mut out.body);
+            }
+            Err(e) => store_error(&e, out),
         }
-        Err(e) => store_error(&e, out),
+    });
+}
+
+/// Answer a series read from one snapshot: copy the answer memoized under
+/// `key` for the snapshot's content, or `compute` it into `out` from that
+/// same snapshot and memoize it when the status is 200. A missing series
+/// answers 404 before any memo lookup. Hits and misses alike record their
+/// latency.
+fn memoized(
+    id: &SeriesId,
+    key: MemoKey,
+    state: &AppState,
+    out: &mut ResponseBuf,
+    compute: impl FnOnce(&SeriesSnapshot, &mut ResponseBuf),
+) {
+    let started = Instant::now();
+    let snapshot = match session(state).require(id) {
+        Ok(snapshot) => snapshot,
+        Err(e) => {
+            state.stats.record_latency(started.elapsed());
+            return store_error(&e, out);
+        }
+    };
+    if snapshot.memo.copy_into(&key, &mut out.body) {
+        state.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
+        out.status = 200;
+    } else {
+        state.stats.memo_misses.fetch_add(1, Ordering::Relaxed);
+        compute(&snapshot, out);
+        if out.status == 200 {
+            snapshot.memo.insert(key, &out.body);
+        }
     }
+    state.stats.record_latency(started.elapsed());
 }

@@ -42,6 +42,11 @@ pub struct ServerStats {
     pub server_errors: AtomicU64,
     /// Individual predictions computed (batch jobs count one each).
     pub predictions: AtomicU64,
+    /// Series predicts and plans answered from the version memo.
+    pub memo_hits: AtomicU64,
+    /// Series predicts and plans of an existing series that found no
+    /// memoized answer and were computed.
+    pub memo_misses: AtomicU64,
     /// Total request wire bytes read (request lines + headers + bodies) on
     /// successfully parsed requests.
     pub bytes_in: AtomicU64,
@@ -72,6 +77,8 @@ impl Default for ServerStats {
             client_errors: AtomicU64::new(0),
             server_errors: AtomicU64::new(0),
             predictions: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
+            memo_misses: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
             accepts: AtomicU64::new(0),

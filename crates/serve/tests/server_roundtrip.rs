@@ -380,6 +380,13 @@ fn fit_cache_versioning_over_http() {
         )
     };
 
+    let memo_hits = |client: &mut Client| -> u64 {
+        let (_, stats) = client.request("GET", "/v1/stats", "");
+        let stats = Json::parse(&stats).unwrap();
+        let memo = stats.get("cache").unwrap().get("memo").unwrap();
+        memo.get("hits").and_then(Json::as_u64).unwrap()
+    };
+
     // Two independent series.
     for name in ["va", "vb"] {
         let set = quickstart_sized_set(name);
@@ -398,15 +405,21 @@ fn fit_cache_versioning_over_http() {
         assert_eq!(status, 200);
     }
     let (_, misses_cold) = cache_counters(&mut client);
+    let memo_hits_cold = memo_hits(&mut client);
 
-    // Re-predicting unchanged series: hits only, not one new miss.
+    // Re-predicting unchanged series: answered from the version memo, not
+    // one new fit-cache miss.
     for name in ["va", "vb"] {
         let (status, _) = client.request("POST", &format!("/v1/series/{name}/predict"), &target);
         assert_eq!(status, 200);
     }
-    let (hits_warm, misses_warm) = cache_counters(&mut client);
+    let (_, misses_warm) = cache_counters(&mut client);
     assert_eq!(misses_warm, misses_cold, "unchanged series refitted");
-    assert!(hits_warm > 0);
+    assert_eq!(
+        memo_hits(&mut client),
+        memo_hits_cold + 2,
+        "unchanged series were not answered from the memo"
+    );
 
     // One appended measurement into `va` only, following the same analytic
     // laws as the rest of the series (a 13th run arriving later).
