@@ -552,12 +552,12 @@ impl<'a> Parser<'a> {
 /// let mut first = true;
 /// while reader.next_key(&mut first, &mut key).unwrap() {
 ///     match key.as_str() {
-///         "cores" => cores = Some(reader.u64_value().unwrap()),
+///         "cores" => cores = Some(reader.f64_value().unwrap()),
 ///         _ => reader.skip_value().unwrap(),
 ///     }
 /// }
 /// reader.finish().unwrap();
-/// assert_eq!(cores, Some(48));
+/// assert_eq!(cores, Some(48.0));
 /// ```
 #[derive(Debug)]
 pub struct JsonReader<'a> {
@@ -653,13 +653,6 @@ impl<'a> JsonReader<'a> {
     /// Read a number value.
     pub fn f64_value(&mut self) -> Result<f64, String> {
         self.parser.parse_number_f64()
-    }
-
-    /// Read a number value under the [`f64_as_u64`] interpretation
-    /// (non-negative, integral, ≤ 2^53).
-    pub fn u64_value(&mut self) -> Result<u64, String> {
-        let n = self.f64_value()?;
-        f64_as_u64(n).ok_or_else(|| self.parser.error("expected a non-negative integer"))
     }
 
     /// Read a string value, replacing the contents of `out`.
@@ -861,8 +854,8 @@ mod tests {
     #[test]
     fn streaming_reader_is_as_strict_as_the_tree_parser() {
         // Every document the reader accepts or rejects must agree with
-        // Json::parse: the serve fast path relies on "reader success implies
-        // tree success" to keep responses byte-identical.
+        // Json::parse: the serve wire decoders answer syntax errors with the
+        // tree parser's exact messages.
         for text in [
             r#"{"a": [1, 2]}"#,
             r#"{"a": [1 2]}"#,
@@ -880,9 +873,8 @@ mod tests {
             );
         }
         // Shape mismatches are the one place the reader is *stricter* than
-        // the tree (it errors where a tree decoder would just see the wrong
-        // variant) — callers fall back to the tree path there, so stricter
-        // is safe; laxer would not be.
+        // the tree: it errors where a tree decoder would just see the wrong
+        // variant, so callers peek a value's first byte before reading it.
         assert!(read_shape("[1]").is_err() && Json::parse("[1]").is_ok());
         // The depth cap guards skip_value too: a bracket bomb inside a
         // skipped field must error, not overflow the stack.
@@ -891,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn u64_values_share_the_tree_interpretation() {
+    fn reader_numbers_share_the_tree_u64_interpretation() {
         for (text, expected) in [
             ("42", Some(42)),
             ("42.0", Some(42)),
@@ -900,7 +892,7 @@ mod tests {
             ("1e300", None),
         ] {
             let mut reader = JsonReader::new(text);
-            let via_reader = reader.u64_value().ok();
+            let via_reader = reader.f64_value().ok().and_then(f64_as_u64);
             let via_tree = Json::parse(text).ok().and_then(|v| v.as_u64());
             assert_eq!(via_reader, via_tree, "diverged on {text}");
             assert_eq!(via_reader, expected);

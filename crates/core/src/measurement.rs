@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{EstimaError, Result};
+use crate::json::Json;
 
 /// Where a stall-cycle category was measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -37,6 +38,29 @@ pub struct StallCategory {
     pub name: String,
     /// Hardware backend, hardware frontend, or software.
     pub source: StallSource,
+}
+
+impl StallSource {
+    /// The source's name in JSON: the HTTP wire format and the durable
+    /// store's log and snapshots.
+    pub fn json_name(self) -> &'static str {
+        match self {
+            StallSource::HardwareBackend => "hw_backend",
+            StallSource::HardwareFrontend => "hw_frontend",
+            StallSource::Software => "software",
+        }
+    }
+
+    /// Inverse of [`StallSource::json_name`].
+    pub fn from_json_name(name: &str) -> Option<StallSource> {
+        [
+            Self::HardwareBackend,
+            Self::HardwareFrontend,
+            Self::Software,
+        ]
+        .into_iter()
+        .find(|source| source.json_name() == name)
+    }
 }
 
 impl StallCategory {
@@ -142,6 +166,36 @@ impl Measurement {
                 .iter()
                 .zip(&other.stalls)
                 .all(|((c1, v1), (c2, v2))| c1 == c2 && v1.to_bits() == v2.to_bits())
+    }
+
+    /// Encode as a JSON object: `cores`, `exec_time`, `memory_footprint`
+    /// when known, and `stalls` as `{source, name, cycles}` objects. The one
+    /// shape of a measurement in JSON, shared by the HTTP wire format and
+    /// the durable store. Non-finite values encode as `null`.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("cores".to_string(), Json::Number(f64::from(self.cores))),
+            ("exec_time".to_string(), Json::Number(self.exec_time)),
+        ];
+        if let Some(bytes) = self.memory_footprint {
+            fields.push(("memory_footprint".to_string(), Json::Number(bytes as f64)));
+        }
+        let stalls = self
+            .stalls
+            .iter()
+            .map(|(category, cycles)| {
+                Json::Object(vec![
+                    (
+                        "source".to_string(),
+                        Json::String(category.source.json_name().to_string()),
+                    ),
+                    ("name".to_string(), Json::String(category.name.clone())),
+                    ("cycles".to_string(), Json::Number(*cycles)),
+                ])
+            })
+            .collect();
+        fields.push(("stalls".to_string(), Json::Array(stalls)));
+        Json::Object(fields)
     }
 }
 

@@ -196,25 +196,6 @@ enum WalRecord {
     Evict { series: SeriesId },
 }
 
-/// Wire name of a stall source (matches the HTTP wire format).
-fn source_name(source: StallSource) -> &'static str {
-    match source {
-        StallSource::HardwareBackend => "hw_backend",
-        StallSource::HardwareFrontend => "hw_frontend",
-        StallSource::Software => "software",
-    }
-}
-
-/// Inverse of [`source_name`].
-fn parse_source(name: &str) -> Result<StallSource> {
-    match name {
-        "hw_backend" => Ok(StallSource::HardwareBackend),
-        "hw_frontend" => Ok(StallSource::HardwareFrontend),
-        "software" => Ok(StallSource::Software),
-        other => Err(corrupt(format!("unknown stall source `{other}`"))),
-    }
-}
-
 fn storage(detail: impl Into<String>) -> EstimaError {
     EstimaError::StorageFailure {
         detail: detail.into(),
@@ -241,31 +222,14 @@ fn require_finite(value: f64, what: &str, cores: u32) -> Result<()> {
     }
 }
 
-/// Encode one measurement as a JSON object (the snapshot and log payload
-/// share this shape with the HTTP wire format).
+/// Encode one measurement as a JSON object ([`Measurement::to_json`], the
+/// shape the HTTP wire format shares), refusing values JSON cannot carry.
 fn measurement_to_json(m: &Measurement) -> Result<Json> {
     require_finite(m.exec_time, "exec_time", m.cores)?;
-    let mut fields = vec![
-        ("cores".to_string(), Json::Number(f64::from(m.cores))),
-        ("exec_time".to_string(), Json::Number(m.exec_time)),
-    ];
-    if let Some(bytes) = m.memory_footprint {
-        fields.push(("memory_footprint".to_string(), Json::Number(bytes as f64)));
-    }
-    let mut stalls = Vec::with_capacity(m.stalls.len());
-    for (category, cycles) in &m.stalls {
+    for cycles in m.stalls.values() {
         require_finite(*cycles, "stall cycles", m.cores)?;
-        stalls.push(Json::Object(vec![
-            (
-                "source".to_string(),
-                Json::String(source_name(category.source).to_string()),
-            ),
-            ("name".to_string(), Json::String(category.name.clone())),
-            ("cycles".to_string(), Json::Number(*cycles)),
-        ]));
     }
-    fields.push(("stalls".to_string(), Json::Array(stalls)));
-    Ok(Json::Object(fields))
+    Ok(m.to_json())
 }
 
 /// Decode one measurement from its JSON object.
@@ -291,12 +255,12 @@ fn measurement_from_json(value: &Json) -> Result<Measurement> {
             .as_array()
             .ok_or_else(|| corrupt("`stalls` is not an array"))?;
         for stall in stalls {
-            let source = parse_source(
-                stall
-                    .get("source")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| corrupt("stall without a `source`"))?,
-            )?;
+            let source = stall
+                .get("source")
+                .and_then(Json::as_str)
+                .ok_or_else(|| corrupt("stall without a `source`"))?;
+            let source = StallSource::from_json_name(source)
+                .ok_or_else(|| corrupt(format!("unknown stall source `{source}`")))?;
             let name = stall
                 .get("name")
                 .and_then(Json::as_str)

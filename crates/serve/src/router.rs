@@ -622,12 +622,12 @@ impl Router {
     /// single node would reject goes to shard 0 verbatim so the 400 bytes
     /// come from the same decoder.
     fn plan_batch(&self, text: &str, request: &Request) -> JobKind {
+        if wire::decode_batch_request(text).is_err() {
+            return self.single("", request, Some(text.to_string()));
+        }
         let Ok(body) = Json::parse(text) else {
             return self.single("", request, Some(text.to_string()));
         };
-        if wire::batch_request_from_json(&body).is_err() {
-            return self.single("", request, Some(text.to_string()));
-        }
         let Some(jobs) = body.get("jobs").and_then(Json::as_array) else {
             return self.single("", request, Some(text.to_string()));
         };

@@ -1035,15 +1035,15 @@ fn not_found(path: &str, out: &mut ResponseBuf) {
 /// Map a store/pipeline error to its wire response (see
 /// [`wire::estima_error_status`]).
 fn store_error(error: &EstimaError, out: &mut ResponseBuf) {
+    let (status, code) = wire::estima_error_status(error);
     if let EstimaError::QuotaExceeded { retry_after_ms, .. } = error {
         // Structured degradation: 429 with both a `Retry-After` header
         // (whole seconds, rounded up) and a millisecond hint in the body.
-        out.status = 429;
+        out.status = status;
         out.retry_after = Some(retry_after_ms.div_ceil(1000).max(1));
-        wire::write_quota_error(&error.to_string(), *retry_after_ms, &mut out.body);
+        wire::write_retry_error(code, &error.to_string(), *retry_after_ms, &mut out.body);
         return;
     }
-    let (status, code) = wire::estima_error_status(error);
     respond_error(out, status, code, &error.to_string());
 }
 
@@ -1059,25 +1059,13 @@ fn parse_series_id(raw: &str, out: &mut ResponseBuf) -> Option<SeriesId> {
 }
 
 /// View a request body as UTF-8 text, answering `400 bad_request` on
-/// failure. The hot routes hand the text straight to the streaming wire
-/// decoders; only `/v1/batch` still parses a [`Json`] tree.
+/// failure. Every route with a body hands the text straight to its
+/// streaming wire decoder.
 fn body_text<'a>(request: &'a Request, out: &mut ResponseBuf) -> Option<&'a str> {
     match std::str::from_utf8(&request.body) {
         Ok(text) => Some(text),
         Err(_) => {
             respond_error(out, 400, "bad_request", "body is not valid UTF-8");
-            None
-        }
-    }
-}
-
-/// Parse a request body as JSON, answering `400 bad_request` on failure.
-fn parse_body(request: &Request, out: &mut ResponseBuf) -> Option<Json> {
-    let text = body_text(request, out)?;
-    match Json::parse(text) {
-        Ok(body) => Some(body),
-        Err(e) => {
-            respond_error(out, 400, "bad_request", &e);
             None
         }
     }
@@ -1290,33 +1278,36 @@ fn predict(request: &Request, state: &AppState, out: &mut ResponseBuf) {
     }
 }
 
-/// `POST /v1/batch`.
+/// `POST /v1/batch`: `{"results": [...]}`, one entry per job in order —
+/// `{"prediction": ...}`, or the job's `prediction_failed` error object.
 fn batch(request: &Request, state: &AppState, out: &mut ResponseBuf) {
-    let Some(body) = parse_body(request, out) else {
+    let Some(text) = body_text(request, out) else {
         return;
     };
-    let jobs = match wire::batch_request_from_json(&body) {
+    let jobs = match wire::decode_batch_request(text) {
         Ok(jobs) => jobs,
         Err(e) => return respond_error(out, 400, "bad_request", &e.0),
     };
     let started = Instant::now();
     let results = state.batch.predict_all(jobs);
     state.stats.record_latency(started.elapsed());
-    let encoded: Vec<Json> = results
-        .into_iter()
-        .map(|result| match result {
+    out.status = 200;
+    out.body.push_str("{\"results\":[");
+    for (index, result) in results.into_iter().enumerate() {
+        if index > 0 {
+            out.body.push(',');
+        }
+        match result {
             Ok(prediction) => {
                 state.stats.predictions.fetch_add(1, Ordering::Relaxed);
-                Json::Object(vec![(
-                    "prediction".to_string(),
-                    wire::prediction_to_json(&prediction),
-                )])
+                out.body.push_str("{\"prediction\":");
+                wire::write_prediction(&prediction, &mut out.body);
+                out.body.push('}');
             }
-            Err(e) => wire::estima_error_to_json(&e),
-        })
-        .collect();
-    let body = Json::Object(vec![("results".to_string(), Json::Array(encoded))]);
-    respond_json(out, 200, &body);
+            Err(e) => wire::write_error("prediction_failed", &e.to_string(), &mut out.body),
+        }
+    }
+    out.body.push_str("]}");
 }
 
 /// The session behind every stateful endpoint.

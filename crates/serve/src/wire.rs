@@ -4,30 +4,42 @@
 //! request/response bodies of every endpoint, built on
 //! [`estima_core::json`]. The full field-by-field specification — with
 //! tables, examples and error-code semantics — lives in DESIGN.md
-//! § *Serving layer*; the encoders here are the normative implementation.
+//! § *Serving layer*; the code here is the normative implementation.
+//!
+//! Each request body has one decoder (`decode_*`), a single streaming pass
+//! over the body text with a [`JsonReader`]. Each response type has one
+//! writer (`write_*`), which appends straight into the connection's
+//! reusable body buffer. Neither builds a [`Json`] tree; the tree
+//! encoders left here are the client-side request builders and the
+//! series list/detail bodies.
 //!
 //! # Fidelity
 //!
-//! Numbers are rendered with shortest-round-trip formatting
-//! ([`Json::render`]), so every `f64` in a response parses back to the exact
-//! bit pattern the predictor produced: predictions served over HTTP are
-//! byte-identical to in-process [`estima_core::BatchPredictor`] results
-//! (pinned by `tests/server_roundtrip.rs` and the `loadgen` harness).
+//! Numbers are written with shortest-round-trip formatting
+//! ([`write_json_number`]), so every `f64` in a response parses back to the
+//! exact bit pattern the predictor produced: predictions served over HTTP
+//! are byte-identical to in-process [`estima_core::BatchPredictor`] results
+//! (pinned by `tests/server_roundtrip.rs` and the `loadgen` harness). Every
+//! writer's output is also a fixed point of `Json::parse` + `Json::render`,
+//! which the router's batch merge relies on (pinned by
+//! `tests/wire_golden.rs`).
 
-use estima_core::json::{write_json_number, write_json_string, Json, JsonReader};
+use std::fmt;
+
+use estima_core::json::{f64_as_u64, write_json_number, write_json_string, Json, JsonReader};
 use estima_core::store::{SeriesInfo, SeriesSnapshot};
 use estima_core::{
     BottleneckReport, ConfidenceInterval, EstimaError, Measurement, MeasurementPlan,
     MeasurementSet, Prediction, SeriesId, StallCategory, StallSource, TargetSpec,
 };
 
-/// A wire-level decoding failure: the body was valid-ish JSON but not a
-/// valid request. Maps to `400 bad_request`.
+/// A wire-level decoding failure: the body is not JSON, or not a valid
+/// request. Maps to `400 bad_request`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireError(pub String);
 
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
 }
@@ -38,164 +50,27 @@ fn err(message: impl Into<String>) -> WireError {
     WireError(message.into())
 }
 
-/// Wire name of a stall source.
-fn source_name(source: StallSource) -> &'static str {
-    match source {
-        StallSource::HardwareBackend => "hw_backend",
-        StallSource::HardwareFrontend => "hw_frontend",
-        StallSource::Software => "software",
-    }
-}
+// ---------------------------------------------------------------------------
+// Client-side request encoders.
+// ---------------------------------------------------------------------------
 
-/// Parse a wire stall-source name.
-fn parse_source(name: &str) -> Result<StallSource, WireError> {
-    match name {
-        "hw_backend" => Ok(StallSource::HardwareBackend),
-        "hw_frontend" => Ok(StallSource::HardwareFrontend),
-        "software" => Ok(StallSource::Software),
-        other => Err(err(format!(
-            "unknown stall source `{other}` (expected hw_backend, hw_frontend or software)"
-        ))),
-    }
-}
-
-fn require<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a Json, WireError> {
-    value
-        .get(key)
-        .ok_or_else(|| err(format!("{context}: missing field `{key}`")))
-}
-
-fn require_f64(value: &Json, key: &str, context: &str) -> Result<f64, WireError> {
-    require(value, key, context)?
-        .as_f64()
-        .ok_or_else(|| err(format!("{context}: field `{key}` must be a number")))
-}
-
-fn require_u32(value: &Json, key: &str, context: &str) -> Result<u32, WireError> {
-    require(value, key, context)?
-        .as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| {
-            err(format!(
-                "{context}: field `{key}` must be a non-negative integer"
-            ))
-        })
-}
-
-fn require_str<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a str, WireError> {
-    require(value, key, context)?
-        .as_str()
-        .ok_or_else(|| err(format!("{context}: field `{key}` must be a string")))
-}
-
-/// Decode a `MeasurementSet` from its wire object (see DESIGN.md for the
-/// field table).
-pub fn measurement_set_from_json(value: &Json) -> Result<MeasurementSet, WireError> {
-    let context = "measurements";
-    let app_name = require_str(value, "app_name", context)?;
-    let frequency_ghz = require_f64(value, "frequency_ghz", context)?;
-    let mut set = MeasurementSet::new(app_name, frequency_ghz);
-    let points = require(value, "points", context)?
-        .as_array()
-        .ok_or_else(|| err("measurements: field `points` must be an array"))?;
-    for (index, point) in points.iter().enumerate() {
-        let context = format!("measurements.points[{index}]");
-        set.push(measurement_from_json(point, &context)?);
-    }
-    Ok(set)
-}
-
-/// Decode one measurement object (an entry of a `points` array).
-pub fn measurement_from_json(point: &Json, context: &str) -> Result<Measurement, WireError> {
-    let cores = require_u32(point, "cores", context)?;
-    let exec_time = require_f64(point, "exec_time", context)?;
-    let mut measurement = Measurement::new(cores, exec_time);
-    if let Some(footprint) = point.get("memory_footprint") {
-        let bytes = footprint.as_u64().ok_or_else(|| {
-            err(format!(
-                "{context}: field `memory_footprint` must be a non-negative integer"
-            ))
-        })?;
-        measurement = measurement.with_memory_footprint(bytes);
-    }
-    if let Some(stalls) = point.get("stalls") {
-        let stalls = stalls
-            .as_array()
-            .ok_or_else(|| err(format!("{context}: field `stalls` must be an array")))?;
-        for (sindex, stall) in stalls.iter().enumerate() {
-            let context = format!("{context}.stalls[{sindex}]");
-            let source = parse_source(require_str(stall, "source", &context)?)?;
-            let name = require_str(stall, "name", &context)?;
-            let cycles = require_f64(stall, "cycles", &context)?;
-            let category = StallCategory {
-                name: name.to_string(),
-                source,
-            };
-            measurement = measurement.with_stall(category, cycles);
-        }
-    }
-    Ok(measurement)
-}
-
-/// Encode a `MeasurementSet` as its wire object. Inverse of
-/// [`measurement_set_from_json`]; used by clients (`loadgen`, tests) to
-/// build request bodies.
+/// Encode a `MeasurementSet` as its wire object (see DESIGN.md for the
+/// field table); used by clients (`loadgen`, tests) to build request
+/// bodies, and by the series detail body.
 pub fn measurement_set_to_json(set: &MeasurementSet) -> Json {
     Json::Object(vec![
         ("app_name".to_string(), Json::String(set.app_name.clone())),
         ("frequency_ghz".to_string(), Json::Number(set.frequency_ghz)),
         (
             "points".to_string(),
-            Json::Array(set.measurements().iter().map(measurement_to_json).collect()),
+            Json::Array(
+                set.measurements()
+                    .iter()
+                    .map(Measurement::to_json)
+                    .collect(),
+            ),
         ),
     ])
-}
-
-/// Encode one measurement as its wire object (an entry of a `points`
-/// array). Inverse of [`measurement_from_json`].
-pub fn measurement_to_json(m: &Measurement) -> Json {
-    let mut fields = vec![
-        ("cores".to_string(), Json::Number(f64::from(m.cores))),
-        ("exec_time".to_string(), Json::Number(m.exec_time)),
-    ];
-    if let Some(bytes) = m.memory_footprint {
-        fields.push(("memory_footprint".to_string(), Json::Number(bytes as f64)));
-    }
-    let stalls = m
-        .stalls
-        .iter()
-        .map(|(category, cycles)| {
-            Json::Object(vec![
-                (
-                    "source".to_string(),
-                    Json::String(source_name(category.source).to_string()),
-                ),
-                ("name".to_string(), Json::String(category.name.clone())),
-                ("cycles".to_string(), Json::Number(*cycles)),
-            ])
-        })
-        .collect();
-    fields.push(("stalls".to_string(), Json::Array(stalls)));
-    Json::Object(fields)
-}
-
-/// Decode a `TargetSpec` from its wire object.
-pub fn target_spec_from_json(value: &Json) -> Result<TargetSpec, WireError> {
-    let context = "target";
-    let mut spec = TargetSpec::cores(require_u32(value, "cores", context)?);
-    if let Some(freq) = value.get("frequency_ghz") {
-        let ghz = freq
-            .as_f64()
-            .ok_or_else(|| err("target: field `frequency_ghz` must be a number"))?;
-        spec = spec.with_frequency_ghz(ghz);
-    }
-    if let Some(scale) = value.get("dataset_scale") {
-        let scale = scale
-            .as_f64()
-            .ok_or_else(|| err("target: field `dataset_scale` must be a number"))?;
-        spec = spec.with_dataset_scale(scale);
-    }
-    Ok(spec)
 }
 
 /// Encode a `TargetSpec` as its wire object.
@@ -211,16 +86,8 @@ pub fn target_spec_to_json(spec: &TargetSpec) -> Json {
     Json::Object(fields)
 }
 
-/// Decode one `/v1/predict` request body: a `measurements` object and a
-/// `target` object.
-pub fn predict_request_from_json(value: &Json) -> Result<(MeasurementSet, TargetSpec), WireError> {
-    let set = measurement_set_from_json(require(value, "measurements", "request")?)?;
-    let target = target_spec_from_json(require(value, "target", "request")?)?;
-    Ok((set, target))
-}
-
 /// Encode a `/v1/predict` request body. Inverse of
-/// [`predict_request_from_json`].
+/// [`decode_predict_request`].
 pub fn predict_request_to_json(set: &MeasurementSet, target: &TargetSpec) -> Json {
     Json::Object(vec![
         ("measurements".to_string(), measurement_set_to_json(set)),
@@ -228,268 +95,41 @@ pub fn predict_request_to_json(set: &MeasurementSet, target: &TargetSpec) -> Jso
     ])
 }
 
-/// Decode a `/v1/batch` request body: a `jobs` array of predict requests.
-pub fn batch_request_from_json(
-    value: &Json,
-) -> Result<Vec<(MeasurementSet, TargetSpec)>, WireError> {
-    let jobs = require(value, "jobs", "request")?
-        .as_array()
-        .ok_or_else(|| err("request: field `jobs` must be an array"))?;
-    jobs.iter()
-        .enumerate()
-        .map(|(index, job)| {
-            predict_request_from_json(job).map_err(|e| err(format!("jobs[{index}]: {e}")))
-        })
-        .collect()
-}
-
-/// Encode a `(cores, value)` series as an array of `[cores, value]` pairs.
-fn series_to_json(series: &[(u32, f64)]) -> Json {
-    Json::Array(
-        series
-            .iter()
-            .map(|(cores, value)| {
-                Json::Array(vec![Json::Number(f64::from(*cores)), Json::Number(*value)])
-            })
-            .collect(),
-    )
-}
-
-/// Decode a series of `[cores, value]` pairs (the encoding of
-/// `predicted_time`, `stalls_per_core` and `measured_time`).
-pub fn series_from_json(value: &Json) -> Result<Vec<(u32, f64)>, WireError> {
-    value
-        .as_array()
-        .ok_or_else(|| err("series must be an array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| err("series entries must be [cores, value] pairs"))?;
-            let cores = pair[0]
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| err("series cores must be an integer"))?;
-            let value = pair[1]
-                .as_f64()
-                .ok_or_else(|| err("series value must be a number"))?;
-            Ok((cores, value))
-        })
-        .collect()
-}
-
-/// Encode a `Prediction` as its wire object (the `/v1/predict` response
-/// body; also the per-job payload of `/v1/batch` responses).
-pub fn prediction_to_json(prediction: &Prediction) -> Json {
-    let categories = prediction
-        .categories
-        .iter()
-        .map(|extrapolation| {
-            Json::Object(vec![
-                (
-                    "source".to_string(),
-                    Json::String(source_name(extrapolation.category.source).to_string()),
-                ),
-                (
-                    "name".to_string(),
-                    Json::String(extrapolation.category.name.clone()),
-                ),
-                (
-                    "kernel".to_string(),
-                    Json::String(extrapolation.curve.kernel.name().to_string()),
-                ),
-                (
-                    "params".to_string(),
-                    Json::Array(
-                        extrapolation
-                            .curve
-                            .params
-                            .iter()
-                            .map(|p| Json::Number(*p))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "extrapolated_at_target".to_string(),
-                    Json::Number(
-                        extrapolation
-                            .at(prediction.target_cores)
-                            .unwrap_or(f64::NAN),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let mut body = Json::Object(vec![
-        (
-            "app_name".to_string(),
-            Json::String(prediction.app_name.clone()),
-        ),
-        (
-            "measured_cores".to_string(),
-            Json::Number(f64::from(prediction.measured_cores)),
-        ),
-        (
-            "target_cores".to_string(),
-            Json::Number(f64::from(prediction.target_cores)),
-        ),
-        (
-            "predicted_scaling_limit".to_string(),
-            Json::Number(f64::from(prediction.predicted_scaling_limit())),
-        ),
-        (
-            "factor_correlation".to_string(),
-            Json::Number(prediction.factor_correlation),
-        ),
-        (
-            "scaling_factor_kernel".to_string(),
-            Json::String(prediction.scaling_factor.kernel.name().to_string()),
-        ),
-        (
-            "predicted_time".to_string(),
-            series_to_json(&prediction.predicted_time),
-        ),
-        (
-            "stalls_per_core".to_string(),
-            series_to_json(&prediction.stalls_per_core),
-        ),
-        (
-            "measured_time".to_string(),
-            series_to_json(&prediction.measured_time),
-        ),
-        ("categories".to_string(), Json::Array(categories)),
-    ]);
-    if let Some(interval) = &prediction.confidence {
-        if let Json::Object(fields) = &mut body {
-            fields.push(("confidence".to_string(), confidence_to_json(interval)));
-        }
-    }
-    body
-}
-
-/// Encode a `Prediction` plus an optional bottleneck diagnosis — the
-/// response body of `POST /v1/series/{id}/predict` when the `diagnosis`
-/// flag is set. With `None` this is exactly [`prediction_to_json`].
-pub fn prediction_response_to_json(
-    prediction: &Prediction,
-    diagnosis: Option<&BottleneckReport>,
+/// Encode a `POST /v1/measurements` body. Inverse of
+/// [`decode_ingest_request`]; used by clients (`loadgen`, tests).
+pub fn ingest_request_to_json(
+    series: &SeriesId,
+    frequency_ghz: Option<f64>,
+    points: &[Measurement],
 ) -> Json {
-    let mut body = prediction_to_json(prediction);
-    if let (Some(report), Json::Object(fields)) = (diagnosis, &mut body) {
-        fields.push(("bottleneck".to_string(), bottleneck_report_to_json(report)));
+    let mut fields = vec![(
+        "series".to_string(),
+        Json::String(series.as_str().to_string()),
+    )];
+    if let Some(ghz) = frequency_ghz {
+        fields.push(("frequency_ghz".to_string(), Json::Number(ghz)));
     }
-    body
+    fields.push((
+        "points".to_string(),
+        Json::Array(points.iter().map(Measurement::to_json).collect()),
+    ));
+    Json::Object(fields)
 }
 
-/// Encode a jackknife confidence interval as its wire object.
-pub fn confidence_to_json(interval: &ConfidenceInterval) -> Json {
-    Json::Object(vec![
-        ("lo".to_string(), Json::Number(interval.lo)),
-        ("hi".to_string(), Json::Number(interval.hi)),
-        ("spread".to_string(), Json::Number(interval.spread)),
-    ])
-}
+// ---------------------------------------------------------------------------
+// Response writers.
+// ---------------------------------------------------------------------------
 
-/// Encode a bottleneck report as its wire object: the core count it was
-/// analysed at, the dominant category (or `null` when the report is empty),
-/// and every entry sorted by descending share.
-pub fn bottleneck_report_to_json(report: &BottleneckReport) -> Json {
-    let dominant = report
-        .dominant()
-        .map(|entry| Json::String(entry.category.to_string()))
-        .unwrap_or(Json::Null);
-    let entries = report
-        .entries
-        .iter()
-        .map(|entry| {
-            Json::Object(vec![
-                (
-                    "category".to_string(),
-                    Json::String(entry.category.to_string()),
-                ),
-                (
-                    "predicted_cycles".to_string(),
-                    Json::Number(entry.predicted_cycles),
-                ),
-                ("share".to_string(), Json::Number(entry.share)),
-                (
-                    "growth_factor".to_string(),
-                    Json::Number(entry.growth_factor),
-                ),
-            ])
-        })
-        .collect();
-    Json::Object(vec![
-        (
-            "at_cores".to_string(),
-            Json::Number(f64::from(report.at_cores)),
-        ),
-        ("dominant".to_string(), dominant),
-        ("entries".to_string(), Json::Array(entries)),
-    ])
-}
-
-/// Encode a measurement plan as the `POST /v1/series/{id}/plan` response
-/// body.
-pub fn plan_to_json(plan: &MeasurementPlan) -> Json {
-    let suggestions = plan
-        .suggestions
-        .iter()
-        .map(|suggestion| {
-            Json::Object(vec![
-                (
-                    "cores".to_string(),
-                    Json::Number(f64::from(suggestion.cores)),
-                ),
-                (
-                    "expected_spread".to_string(),
-                    Json::Number(suggestion.expected_spread),
-                ),
-                (
-                    "expected_reduction".to_string(),
-                    Json::Number(suggestion.expected_reduction),
-                ),
-                (
-                    "rationale".to_string(),
-                    Json::String(suggestion.rationale.clone()),
-                ),
-            ])
-        })
-        .collect();
-    Json::Object(vec![
-        ("app_name".to_string(), Json::String(plan.app_name.clone())),
-        (
-            "measured_cores".to_string(),
-            Json::Number(f64::from(plan.measured_cores)),
-        ),
-        (
-            "target_cores".to_string(),
-            Json::Number(f64::from(plan.target_cores)),
-        ),
-        (
-            "confidence".to_string(),
-            confidence_to_json(&plan.confidence),
-        ),
-        (
-            "bottleneck".to_string(),
-            bottleneck_report_to_json(&plan.bottleneck),
-        ),
-        ("suggestions".to_string(), Json::Array(suggestions)),
-    ])
-}
-
-/// Serialize a `Prediction` directly into a caller-provided buffer,
-/// byte-identical to `prediction_to_json(prediction).render()` (pinned by a
-/// test below). This is the serve hot path: no intermediate [`Json`] tree —
-/// a response carrying hundreds of numbers appends straight into the
-/// connection's reusable body buffer.
+/// Write a `Prediction` as its wire object (the `/v1/predict` response
+/// body; also the per-job payload of `/v1/batch` responses) into `out`.
+/// This is the serve hot path: a response carrying hundreds of numbers
+/// appends straight into the connection's reusable body buffer.
 pub fn write_prediction(prediction: &Prediction, out: &mut String) {
     write_prediction_response(prediction, None, out);
 }
 
-/// [`write_prediction`] with an optional bottleneck diagnosis appended;
-/// byte-identical to `prediction_response_to_json(..).render()`.
+/// [`write_prediction`] with an optional bottleneck diagnosis appended —
+/// the response body of `POST /v1/series/{id}/predict`.
 pub fn write_prediction_response(
     prediction: &Prediction,
     diagnosis: Option<&BottleneckReport>,
@@ -519,7 +159,7 @@ pub fn write_prediction_response(
             out.push(',');
         }
         out.push_str("{\"source\":");
-        write_json_string(source_name(extrapolation.category.source), out);
+        write_json_string(extrapolation.category.source.json_name(), out);
         out.push_str(",\"name\":");
         write_json_string(&extrapolation.category.name, out);
         out.push_str(",\"kernel\":");
@@ -552,8 +192,7 @@ pub fn write_prediction_response(
     out.push('}');
 }
 
-/// Serialize a confidence interval directly into `out`; byte-identical to
-/// `confidence_to_json(interval).render()`.
+/// Write a jackknife confidence interval as its wire object.
 fn write_confidence(interval: &ConfidenceInterval, out: &mut String) {
     out.push_str("{\"lo\":");
     write_json_number(interval.lo, out);
@@ -564,8 +203,9 @@ fn write_confidence(interval: &ConfidenceInterval, out: &mut String) {
     out.push('}');
 }
 
-/// Serialize a bottleneck report directly into `out`; byte-identical to
-/// `bottleneck_report_to_json(report).render()`.
+/// Write a bottleneck report as its wire object: the core count it was
+/// analysed at, the dominant category (or `null` when the report is empty),
+/// and every entry sorted by descending share.
 fn write_bottleneck_report(report: &BottleneckReport, out: &mut String) {
     out.push_str("{\"at_cores\":");
     write_json_number(f64::from(report.at_cores), out);
@@ -592,9 +232,8 @@ fn write_bottleneck_report(report: &BottleneckReport, out: &mut String) {
     out.push_str("]}");
 }
 
-/// Serialize a measurement plan directly into `out`; byte-identical to
-/// `plan_to_json(plan).render()` (pinned by a test below). The plan
-/// endpoint shares the serve hot path's zero-tree discipline.
+/// Write a measurement plan as the `POST /v1/series/{id}/plan` response
+/// body.
 pub fn write_plan(plan: &MeasurementPlan, out: &mut String) {
     out.push_str("{\"app_name\":");
     write_json_string(&plan.app_name, out);
@@ -624,8 +263,8 @@ pub fn write_plan(plan: &MeasurementPlan, out: &mut String) {
     out.push_str("]}");
 }
 
-/// Serialize a `(cores, value)` series as `[[cores, value], ...]` directly
-/// into `out`; byte-identical to `series_to_json(series).render()`.
+/// Write a `(cores, value)` series as `[[cores, value], ...]` (the encoding
+/// of `predicted_time`, `stalls_per_core` and `measured_time`).
 fn write_series(series: &[(u32, f64)], out: &mut String) {
     out.push('[');
     for (index, (cores, value)) in series.iter().enumerate() {
@@ -641,8 +280,7 @@ fn write_series(series: &[(u32, f64)], out: &mut String) {
     out.push(']');
 }
 
-/// Serialize a wire error body directly into `out`; byte-identical to
-/// `error_to_json(code, message).render()`.
+/// Write a wire error body: `{"error": {"code": ..., "message": ...}}`.
 pub fn write_error(code: &str, message: &str, out: &mut String) {
     out.push_str("{\"error\":{\"code\":");
     write_json_string(code, out);
@@ -651,428 +289,35 @@ pub fn write_error(code: &str, message: &str, out: &mut String) {
     out.push_str("}}");
 }
 
-/// A decoded `POST /v1/measurements` request: which series to append to,
-/// the measurement-machine frequency (required to create a series, verified
-/// against the stored one otherwise), and the points to append.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestRequest {
-    /// Target series id.
-    pub series: SeriesId,
-    /// Clock frequency of the measurements machine in GHz, when supplied.
-    pub frequency_ghz: Option<f64>,
-    /// Measurements to append, in arrival order.
-    pub points: Vec<Measurement>,
+/// Write a retryable error body: the standard error object plus a
+/// machine-readable `retry_after_ms` hint, mirroring the response's
+/// `Retry-After` header at millisecond precision. Shared by the
+/// `429 quota_exceeded` degradation path and the router's
+/// `503 shard_unavailable` response.
+pub fn write_retry_error(code: &str, message: &str, retry_after_ms: u64, out: &mut String) {
+    out.push_str("{\"error\":{\"code\":");
+    write_json_string(code, out);
+    out.push_str(",\"message\":");
+    write_json_string(message, out);
+    out.push_str(",\"retry_after_ms\":");
+    let _ = fmt::Write::write_fmt(out, format_args!("{retry_after_ms}"));
+    out.push_str("}}");
 }
 
-/// Decode a `POST /v1/measurements` body.
-pub fn ingest_request_from_json(value: &Json) -> Result<IngestRequest, WireError> {
-    let context = "request";
-    let series = SeriesId::new(require_str(value, "series", context)?)
-        .map_err(|e| err(format!("{context}: {e}")))?;
-    let frequency_ghz = match value.get("frequency_ghz") {
-        Some(freq) => {
-            let ghz = freq
-                .as_f64()
-                .ok_or_else(|| err("request: field `frequency_ghz` must be a number"))?;
-            // Rejected here (400 bad_request) rather than by the store
-            // (which would read as a pipeline failure): a non-positive
-            // clock is malformed input, not an unpredictable series.
-            if !ghz.is_finite() || ghz <= 0.0 {
-                return Err(err(
-                    "request: field `frequency_ghz` must be positive and finite",
-                ));
-            }
-            Some(ghz)
-        }
-        None => None,
-    };
-    let points = require(value, "points", context)?
-        .as_array()
-        .ok_or_else(|| err("request: field `points` must be an array"))?
-        .iter()
-        .enumerate()
-        .map(|(index, point)| measurement_from_json(point, &format!("points[{index}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(IngestRequest {
-        series,
-        frequency_ghz,
-        points,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Streaming request decoders: the serve hot path.
-//
-// `decode_predict_request`, `decode_ingest_request` and `decode_target_spec`
-// decode straight from the body text with a [`JsonReader`] — one pass, no
-// intermediate [`Json`] tree, no per-key `String`. The fast path only
-// *commits* on a fully valid document; on any anomaly (syntax error, missing
-// or mistyped field, exotic-but-valid shapes it declines) it falls back to
-// `Json::parse` + the tree decoders above, so every observable outcome —
-// including error messages, duplicate-key first-match-wins and
-// unknown-field tolerance — is identical to the tree path by construction
-// (pinned by the differential tests below).
-// ---------------------------------------------------------------------------
-
-/// Reusable buffers of one streaming decode: one key buffer per object
-/// nesting level (`k0` outermost), a string-value sink, and the accumulators
-/// for array-valued fields. All start empty and unallocated; a decode only
-/// allocates what ends up owned by the decoded request.
-#[derive(Default)]
-struct DecodeScratch {
-    k0: String,
-    k1: String,
-    k2: String,
-    k3: String,
-    text: String,
-    stalls: Vec<(StallCategory, f64)>,
-    points: Vec<Measurement>,
-}
-
-/// Fast-path failure: the document needs the tree decoder's verdict. The
-/// message is never user-visible (the fallback recomputes the real one).
-fn bail(why: &'static str) -> String {
-    why.to_string()
-}
-
-/// Decode one `/v1/predict` request body from its text. Equivalent to
-/// `Json::parse` + [`predict_request_from_json`] — including every error
-/// message — but one streaming pass on well-formed canonical bodies.
-pub fn decode_predict_request(text: &str) -> Result<(MeasurementSet, TargetSpec), WireError> {
-    if let Ok(decoded) = fast_predict_request(text) {
-        return Ok(decoded);
+/// HTTP status and wire error code for a store/pipeline error on the series
+/// endpoints: missing series are `404 series_not_found`, contradictory
+/// ingests are `409 series_conflict`, invalid ids are `400 bad_request`, and
+/// everything else keeps the prediction-pipeline semantics
+/// (`422 prediction_failed`).
+pub fn estima_error_status(error: &EstimaError) -> (u16, &'static str) {
+    match error {
+        EstimaError::SeriesNotFound { .. } => (404, "series_not_found"),
+        EstimaError::SeriesConflict { .. } => (409, "series_conflict"),
+        EstimaError::InvalidSeriesId { .. } => (400, "bad_request"),
+        EstimaError::QuotaExceeded { .. } => (429, "quota_exceeded"),
+        EstimaError::StorageFailure { .. } => (500, "storage_failure"),
+        _ => (422, "prediction_failed"),
     }
-    let value = Json::parse(text).map_err(WireError)?;
-    predict_request_from_json(&value)
-}
-
-/// Decode one `POST /v1/measurements` request body from its text.
-/// Equivalent to `Json::parse` + [`ingest_request_from_json`].
-pub fn decode_ingest_request(text: &str) -> Result<IngestRequest, WireError> {
-    if let Ok(decoded) = fast_ingest_request(text) {
-        return Ok(decoded);
-    }
-    let value = Json::parse(text).map_err(WireError)?;
-    ingest_request_from_json(&value)
-}
-
-/// Decode one `POST /v1/series/{id}/predict` request body (a bare
-/// `TargetSpec` object) from its text. Equivalent to `Json::parse` +
-/// [`target_spec_from_json`].
-pub fn decode_target_spec(text: &str) -> Result<TargetSpec, WireError> {
-    if let Ok(spec) = fast_target_spec(text) {
-        return Ok(spec);
-    }
-    let value = Json::parse(text).map_err(WireError)?;
-    target_spec_from_json(&value)
-}
-
-/// Opt-in extras on a `POST /v1/series/{id}/predict` body.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictExtras {
-    /// Attach a jackknife confidence interval (`"confidence": true`).
-    pub confidence: bool,
-    /// Attach a bottleneck diagnosis (`"diagnosis": true`).
-    pub diagnosis: bool,
-}
-
-/// Decode a series-predict body: a `TargetSpec` plus the opt-in
-/// [`PredictExtras`] boolean flags. Bodies that mention neither flag take
-/// exactly the [`decode_target_spec`] fast path, so default requests cost
-/// nothing extra — and produce byte-identical responses to releases that
-/// predate the flags.
-pub fn decode_series_predict_request(text: &str) -> Result<(TargetSpec, PredictExtras), WireError> {
-    if !text.contains("\"confidence\"") && !text.contains("\"diagnosis\"") {
-        return Ok((decode_target_spec(text)?, PredictExtras::default()));
-    }
-    let value = Json::parse(text).map_err(WireError)?;
-    let spec = target_spec_from_json(&value)?;
-    let extras = PredictExtras {
-        confidence: flag(&value, "confidence")?,
-        diagnosis: flag(&value, "diagnosis")?,
-    };
-    Ok((spec, extras))
-}
-
-/// Read an optional boolean flag off a request object.
-fn flag(value: &Json, key: &str) -> Result<bool, WireError> {
-    match value.get(key) {
-        None => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| err(format!("request: field `{key}` must be a boolean"))),
-    }
-}
-
-/// Most suggestions a plan request may ask for.
-pub const MAX_PLAN_SUGGESTIONS: usize = 8;
-
-/// Decode a `POST /v1/series/{id}/plan` body: a `TargetSpec` plus an
-/// optional `suggestions` count (`1..=8`, default
-/// [`estima_core::plan::DEFAULT_SUGGESTIONS`]).
-pub fn decode_plan_request(text: &str) -> Result<(TargetSpec, usize), WireError> {
-    if !text.contains("\"suggestions\"") {
-        return Ok((
-            decode_target_spec(text)?,
-            estima_core::plan::DEFAULT_SUGGESTIONS,
-        ));
-    }
-    let value = Json::parse(text).map_err(WireError)?;
-    let spec = target_spec_from_json(&value)?;
-    let suggestions = match value.get("suggestions") {
-        None => estima_core::plan::DEFAULT_SUGGESTIONS,
-        Some(v) => v
-            .as_u64()
-            .and_then(|n| usize::try_from(n).ok())
-            .filter(|n| (1..=MAX_PLAN_SUGGESTIONS).contains(n))
-            .ok_or_else(|| {
-                err(format!(
-                    "request: field `suggestions` must be an integer between 1 and {MAX_PLAN_SUGGESTIONS}"
-                ))
-            })?,
-    };
-    Ok((spec, suggestions))
-}
-
-fn fast_predict_request(text: &str) -> Result<(MeasurementSet, TargetSpec), String> {
-    let mut reader = JsonReader::new(text);
-    let mut scratch = DecodeScratch::default();
-    let mut set = None;
-    let mut target = None;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k0)? {
-        if scratch.k0 == "measurements" && set.is_none() {
-            set = Some(read_measurement_set(&mut reader, &mut scratch)?);
-        } else if scratch.k0 == "target" && target.is_none() {
-            target = Some(read_target_fields(&mut reader, &mut scratch.k1)?);
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    reader.finish()?;
-    match (set, target) {
-        (Some(set), Some(target)) => Ok((set, target)),
-        _ => Err(bail("missing measurements or target")),
-    }
-}
-
-fn fast_ingest_request(text: &str) -> Result<IngestRequest, String> {
-    let mut reader = JsonReader::new(text);
-    let mut scratch = DecodeScratch::default();
-    let mut series = None;
-    let mut frequency_ghz = None;
-    let mut have_points = false;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k0)? {
-        if scratch.k0 == "series" && series.is_none() {
-            reader.string_value(&mut scratch.text)?;
-            series = Some(SeriesId::new(&scratch.text).map_err(|_| bail("bad series id"))?);
-        } else if scratch.k0 == "frequency_ghz" && frequency_ghz.is_none() {
-            let ghz = reader.f64_value()?;
-            if !ghz.is_finite() || ghz <= 0.0 {
-                return Err(bail("non-positive frequency"));
-            }
-            frequency_ghz = Some(ghz);
-        } else if scratch.k0 == "points" && !have_points {
-            have_points = true;
-            read_points(&mut reader, &mut scratch)?;
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    reader.finish()?;
-    let (Some(series), true) = (series, have_points) else {
-        return Err(bail("missing series or points"));
-    };
-    Ok(IngestRequest {
-        series,
-        frequency_ghz,
-        points: std::mem::take(&mut scratch.points),
-    })
-}
-
-fn fast_target_spec(text: &str) -> Result<TargetSpec, String> {
-    let mut reader = JsonReader::new(text);
-    let mut key = String::new();
-    let spec = read_target_fields(&mut reader, &mut key)?;
-    reader.finish()?;
-    Ok(spec)
-}
-
-/// Read a `TargetSpec` object (already positioned at its `{`).
-fn read_target_fields(reader: &mut JsonReader<'_>, key: &mut String) -> Result<TargetSpec, String> {
-    let mut cores = None;
-    let mut frequency_ghz = None;
-    let mut dataset_scale = None;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, key)? {
-        if key == "cores" && cores.is_none() {
-            cores = Some(read_u32(reader)?);
-        } else if key == "frequency_ghz" && frequency_ghz.is_none() {
-            frequency_ghz = Some(reader.f64_value()?);
-        } else if key == "dataset_scale" && dataset_scale.is_none() {
-            dataset_scale = Some(reader.f64_value()?);
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    let mut spec = TargetSpec::cores(cores.ok_or_else(|| bail("missing cores"))?);
-    if let Some(ghz) = frequency_ghz {
-        spec = spec.with_frequency_ghz(ghz);
-    }
-    if let Some(scale) = dataset_scale {
-        spec = spec.with_dataset_scale(scale);
-    }
-    Ok(spec)
-}
-
-/// Read a `measurements` wire object (already positioned at its `{`). The
-/// builders tolerate any field order: `points` may precede `app_name`, so
-/// points accumulate in the scratch buffer until the object completes.
-fn read_measurement_set(
-    reader: &mut JsonReader<'_>,
-    scratch: &mut DecodeScratch,
-) -> Result<MeasurementSet, String> {
-    let mut app_name = None;
-    let mut frequency_ghz = None;
-    let mut have_points = false;
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k1)? {
-        if scratch.k1 == "app_name" && app_name.is_none() {
-            reader.string_value(&mut scratch.text)?;
-            app_name = Some(scratch.text.clone());
-        } else if scratch.k1 == "frequency_ghz" && frequency_ghz.is_none() {
-            frequency_ghz = Some(reader.f64_value()?);
-        } else if scratch.k1 == "points" && !have_points {
-            have_points = true;
-            read_points(reader, scratch)?;
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    let (Some(app_name), Some(frequency_ghz), true) = (app_name, frequency_ghz, have_points) else {
-        return Err(bail("missing measurement-set field"));
-    };
-    let mut set = MeasurementSet::new(app_name, frequency_ghz);
-    for point in scratch.points.drain(..) {
-        set.push(point);
-    }
-    Ok(set)
-}
-
-/// Read a `points` array into `scratch.points` (already positioned at `[`).
-fn read_points(reader: &mut JsonReader<'_>, scratch: &mut DecodeScratch) -> Result<(), String> {
-    scratch.points.clear();
-    reader.begin_array()?;
-    let mut first = true;
-    while reader.next_element(&mut first)? {
-        let point = read_measurement(reader, scratch)?;
-        scratch.points.push(point);
-    }
-    Ok(())
-}
-
-/// Read one measurement object (an entry of a `points` array).
-fn read_measurement(
-    reader: &mut JsonReader<'_>,
-    scratch: &mut DecodeScratch,
-) -> Result<Measurement, String> {
-    let mut cores = None;
-    let mut exec_time = None;
-    let mut footprint = None;
-    let mut have_stalls = false;
-    scratch.stalls.clear();
-    reader.begin_object()?;
-    let mut first = true;
-    while reader.next_key(&mut first, &mut scratch.k2)? {
-        if scratch.k2 == "cores" && cores.is_none() {
-            cores = Some(read_u32(reader)?);
-        } else if scratch.k2 == "exec_time" && exec_time.is_none() {
-            exec_time = Some(reader.f64_value()?);
-        } else if scratch.k2 == "memory_footprint" && footprint.is_none() {
-            footprint = Some(reader.u64_value()?);
-        } else if scratch.k2 == "stalls" && !have_stalls {
-            have_stalls = true;
-            read_stalls(reader, scratch)?;
-        } else {
-            reader.skip_value()?;
-        }
-    }
-    let (Some(cores), Some(exec_time)) = (cores, exec_time) else {
-        return Err(bail("missing point field"));
-    };
-    let mut measurement = Measurement::new(cores, exec_time);
-    if let Some(bytes) = footprint {
-        measurement = measurement.with_memory_footprint(bytes);
-    }
-    for (category, cycles) in scratch.stalls.drain(..) {
-        measurement = measurement.with_stall(category, cycles);
-    }
-    Ok(measurement)
-}
-
-/// Read a `stalls` array into `scratch.stalls` (already positioned at `[`).
-fn read_stalls(reader: &mut JsonReader<'_>, scratch: &mut DecodeScratch) -> Result<(), String> {
-    reader.begin_array()?;
-    let mut first = true;
-    while reader.next_element(&mut first)? {
-        let mut source = None;
-        let mut name = None;
-        let mut cycles = None;
-        reader.begin_object()?;
-        let mut sfirst = true;
-        while reader.next_key(&mut sfirst, &mut scratch.k3)? {
-            if scratch.k3 == "source" && source.is_none() {
-                reader.string_value(&mut scratch.text)?;
-                source = Some(parse_source(&scratch.text).map_err(|e| e.0)?);
-            } else if scratch.k3 == "name" && name.is_none() {
-                reader.string_value(&mut scratch.text)?;
-                name = Some(scratch.text.clone());
-            } else if scratch.k3 == "cycles" && cycles.is_none() {
-                cycles = Some(reader.f64_value()?);
-            } else {
-                reader.skip_value()?;
-            }
-        }
-        let (Some(source), Some(name), Some(cycles)) = (source, name, cycles) else {
-            return Err(bail("missing stall field"));
-        };
-        scratch
-            .stalls
-            .push((StallCategory { name, source }, cycles));
-    }
-    Ok(())
-}
-
-/// Read a number under the tree decoders' `u32` interpretation
-/// ([`Json::as_u64`] + `u32::try_from`).
-fn read_u32(reader: &mut JsonReader<'_>) -> Result<u32, String> {
-    u32::try_from(reader.u64_value()?).map_err(|_| bail("out of u32 range"))
-}
-
-/// Encode a `POST /v1/measurements` body. Inverse of
-/// [`ingest_request_from_json`]; used by clients (`loadgen`, tests).
-pub fn ingest_request_to_json(
-    series: &SeriesId,
-    frequency_ghz: Option<f64>,
-    points: &[Measurement],
-) -> Json {
-    let mut fields = vec![(
-        "series".to_string(),
-        Json::String(series.as_str().to_string()),
-    )];
-    if let Some(ghz) = frequency_ghz {
-        fields.push(("frequency_ghz".to_string(), Json::Number(ghz)));
-    }
-    fields.push((
-        "points".to_string(),
-        Json::Array(points.iter().map(measurement_to_json).collect()),
-    ));
-    Json::Object(fields)
 }
 
 /// Encode one series summary (an entry of the `GET /v1/series` response and
@@ -1123,57 +368,537 @@ pub fn series_detail_to_json(snapshot: &SeriesSnapshot) -> Json {
     ])
 }
 
-/// HTTP status and wire error code for a store/pipeline error on the series
-/// endpoints: missing series are `404 series_not_found`, contradictory
-/// ingests are `409 series_conflict`, invalid ids are `400 bad_request`, and
-/// everything else keeps the prediction-pipeline semantics
-/// (`422 prediction_failed`).
-pub fn estima_error_status(error: &EstimaError) -> (u16, &'static str) {
-    match error {
-        EstimaError::SeriesNotFound { .. } => (404, "series_not_found"),
-        EstimaError::SeriesConflict { .. } => (409, "series_conflict"),
-        EstimaError::InvalidSeriesId { .. } => (400, "bad_request"),
-        EstimaError::QuotaExceeded { .. } => (429, "quota_exceeded"),
-        EstimaError::StorageFailure { .. } => (500, "storage_failure"),
-        _ => (422, "prediction_failed"),
+// ---------------------------------------------------------------------------
+// Request decoders.
+//
+// One pass over the body text, no intermediate tree. The reader always
+// reads to the end of the document, so a syntax error anywhere is the
+// answer, at the byte offset `Json::parse` reports (the reader shares its
+// parser). Otherwise each object keeps the outcome of the first occurrence
+// of each field it knows — the value, or the message for a wrong-typed
+// one — and resolves them at its closing `}` in a fixed field order: the
+// first error in that order wins. Unknown and duplicate fields are only
+// syntax-checked; a value that is not an object where an object belongs
+// reads as an empty object; an array stops decoding at its first failing
+// element and only syntax-checks the rest. Pinned byte for byte by
+// `tests/wire_golden.rs`.
+// ---------------------------------------------------------------------------
+
+/// A decoded `POST /v1/measurements` request: which series to append to,
+/// the measurement-machine frequency (required to create a series, verified
+/// against the stored one otherwise), and the points to append.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IngestRequest {
+    /// Target series id.
+    pub series: SeriesId,
+    /// Clock frequency of the measurements machine in GHz, when supplied.
+    pub frequency_ghz: Option<f64>,
+    /// Measurements to append, in arrival order.
+    pub points: Vec<Measurement>,
+}
+
+/// Opt-in extras on a `POST /v1/series/{id}/predict` body.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PredictExtras {
+    /// Attach a jackknife confidence interval (`"confidence": true`).
+    pub confidence: bool,
+    /// Attach a bottleneck diagnosis (`"diagnosis": true`).
+    pub diagnosis: bool,
+}
+
+/// Most suggestions a plan request may ask for.
+pub const MAX_PLAN_SUGGESTIONS: usize = 8;
+
+/// Decode one `/v1/predict` request body: a `measurements` object and a
+/// `target` object.
+pub fn decode_predict_request(text: &str) -> Result<(MeasurementSet, TargetSpec), WireError> {
+    decode(text, read_predict)
+}
+
+/// Decode a `/v1/batch` request body: a `jobs` array of predict requests.
+/// A failing job's message is prefixed with `jobs[index]: `.
+pub fn decode_batch_request(text: &str) -> Result<Vec<(MeasurementSet, TargetSpec)>, WireError> {
+    decode(text, |r, keys| {
+        let mut jobs = None;
+        object(r, keys, |r, key, keys| {
+            match key {
+                "jobs" if jobs.is_none() => {
+                    let mut decoded = Vec::new();
+                    let outcome = array(r, REQUEST, key, |r, index| {
+                        Ok(read_predict(r, keys)?
+                            .map(|job| decoded.push(job))
+                            .map_err(|e| err(format!("jobs[{index}]: {e}"))))
+                    })?;
+                    jobs = Some(outcome.map(|()| decoded));
+                }
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        Ok(required(jobs, REQUEST, "jobs"))
+    })
+}
+
+/// Decode a `POST /v1/measurements` body.
+pub fn decode_ingest_request(text: &str) -> Result<IngestRequest, WireError> {
+    decode(text, |r, keys| {
+        let (mut series, mut frequency_ghz, mut points) = (None, None, None);
+        object(r, keys, |r, key, keys| {
+            match key {
+                "series" if series.is_none() => {
+                    series = Some(string(r)?.map_or_else(
+                        || Err(mistyped(REQUEST, key, "a string")),
+                        |name| SeriesId::new(name).map_err(|e| err(format!("{REQUEST}: {e}"))),
+                    ));
+                }
+                "frequency_ghz" if frequency_ghz.is_none() => {
+                    // Rejected here (400 bad_request) rather than by the
+                    // store (which would read as a pipeline failure): a
+                    // non-positive clock is malformed input, not an
+                    // unpredictable series.
+                    frequency_ghz = Some(match number(r)? {
+                        Some(ghz) if ghz.is_finite() && ghz > 0.0 => Ok(ghz),
+                        Some(_) => Err(err(
+                            "request: field `frequency_ghz` must be positive and finite",
+                        )),
+                        None => Err(mistyped(REQUEST, key, "a number")),
+                    });
+                }
+                "points" if points.is_none() => {
+                    points = Some(read_points(r, REQUEST, "points", keys)?);
+                }
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        resolved(|| {
+            Ok(IngestRequest {
+                series: required(series, REQUEST, "series")?,
+                frequency_ghz: frequency_ghz.transpose()?,
+                points: required(points, REQUEST, "points")?,
+            })
+        })
+    })
+}
+
+/// Decode a `POST /v1/series/{id}/predict` body: a `TargetSpec` plus the
+/// opt-in [`PredictExtras`] boolean flags.
+pub fn decode_series_predict_request(text: &str) -> Result<(TargetSpec, PredictExtras), WireError> {
+    decode(text, |r, keys| {
+        let mut target = TargetFields::default();
+        let (mut confidence, mut diagnosis) = (None, None);
+        object(r, keys, |r, key, _| {
+            if !target.read(r, key)? {
+                match key {
+                    "confidence" if confidence.is_none() => confidence = Some(flag(r, key)?),
+                    "diagnosis" if diagnosis.is_none() => diagnosis = Some(flag(r, key)?),
+                    _ => r.skip_value()?,
+                }
+            }
+            Ok(())
+        })?;
+        resolved(|| {
+            let spec = target.resolve()?;
+            let extras = PredictExtras {
+                confidence: confidence.transpose()?.unwrap_or(false),
+                diagnosis: diagnosis.transpose()?.unwrap_or(false),
+            };
+            Ok((spec, extras))
+        })
+    })
+}
+
+/// Decode a `POST /v1/series/{id}/plan` body: a `TargetSpec` plus an
+/// optional `suggestions` count (`1..=8`, default
+/// [`estima_core::plan::DEFAULT_SUGGESTIONS`]).
+pub fn decode_plan_request(text: &str) -> Result<(TargetSpec, usize), WireError> {
+    decode(text, |r, keys| {
+        let mut target = TargetFields::default();
+        let mut suggestions = None;
+        object(r, keys, |r, key, _| {
+            if !target.read(r, key)? {
+                match key {
+                    "suggestions" if suggestions.is_none() => {
+                        let n = number(r)?
+                            .and_then(f64_as_u64)
+                            .and_then(|n| usize::try_from(n).ok())
+                            .filter(|n| (1..=MAX_PLAN_SUGGESTIONS).contains(n));
+                        suggestions = Some(n.ok_or_else(|| {
+                            let what = format!("an integer between 1 and {MAX_PLAN_SUGGESTIONS}");
+                            mistyped(REQUEST, key, &what)
+                        }));
+                    }
+                    _ => r.skip_value()?,
+                }
+            }
+            Ok(())
+        })?;
+        resolved(|| {
+            let spec = target.resolve()?;
+            let suggestions = suggestions.transpose()?;
+            Ok((
+                spec,
+                suggestions.unwrap_or(estima_core::plan::DEFAULT_SUGGESTIONS),
+            ))
+        })
+    })
+}
+
+/// A syntax error, as `Json::parse` words it. It ends the read at once and
+/// outranks every field error.
+type Syntax = String;
+
+/// The outcome of reading one value: a syntax error, or else the value or
+/// the message it resolves to.
+type Read<T> = Result<Result<T, WireError>, Syntax>;
+
+/// The outcome of a field's first occurrence; `None` until it is seen.
+type Field<T> = Option<Result<T, WireError>>;
+
+/// Where a field sits, as its error messages name it: `name`, then the
+/// point's `[index]`, then the stall's `.stalls[index]`, as present.
+#[derive(Clone, Copy)]
+struct At {
+    name: &'static str,
+    point: Option<usize>,
+    stall: Option<usize>,
+}
+
+impl At {
+    const fn named(name: &'static str) -> At {
+        At {
+            name,
+            point: None,
+            stall: None,
+        }
     }
 }
 
-/// Encode a retryable error body: the standard error object plus a
-/// machine-readable `retry_after_ms` hint, mirroring the response's
-/// `Retry-After` header at millisecond precision. Shared by the
-/// `429 quota_exceeded` degradation path and the router's
-/// `503 shard_unavailable` response.
-pub fn write_retry_error(code: &str, message: &str, retry_after_ms: u64, out: &mut String) {
-    out.push_str("{\"error\":{\"code\":");
-    write_json_string(code, out);
-    out.push_str(",\"message\":");
-    write_json_string(message, out);
-    out.push_str(",\"retry_after_ms\":");
-    let _ = std::fmt::Write::write_fmt(out, format_args!("{retry_after_ms}"));
-    out.push_str("}}");
+const REQUEST: At = At::named("request");
+const MEASUREMENTS: At = At::named("measurements");
+const TARGET: At = At::named("target");
+
+impl fmt::Display for At {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)?;
+        if let Some(index) = self.point {
+            write!(f, "[{index}]")?;
+        }
+        if let Some(index) = self.stall {
+            write!(f, ".stalls[{index}]")?;
+        }
+        Ok(())
+    }
 }
 
-/// Encode the `429 quota_exceeded` error body (see [`write_retry_error`]).
-pub fn write_quota_error(message: &str, retry_after_ms: u64, out: &mut String) {
-    write_retry_error("quota_exceeded", message, retry_after_ms, out);
+fn required<T>(field: Field<T>, at: At, key: &str) -> Result<T, WireError> {
+    field.unwrap_or_else(|| Err(err(format!("{at}: missing field `{key}`"))))
 }
 
-/// Encode a wire error body: `{"error": {"code": ..., "message": ...}}`.
-pub fn error_to_json(code: &str, message: &str) -> Json {
-    Json::Object(vec![(
-        "error".to_string(),
-        Json::Object(vec![
-            ("code".to_string(), Json::String(code.to_string())),
-            ("message".to_string(), Json::String(message.to_string())),
-        ]),
-    )])
+fn mistyped(at: At, key: &str, what: &str) -> WireError {
+    err(format!("{at}: field `{key}` must be {what}"))
 }
 
-/// Wire error code for a prediction-pipeline failure (`422
-/// prediction_failed`); the variant name is carried in the message.
-pub fn estima_error_to_json(error: &EstimaError) -> Json {
-    error_to_json("prediction_failed", &error.to_string())
+/// Resolve the field outcomes of a syntactically complete object.
+fn resolved<T>(resolve: impl FnOnce() -> Result<T, WireError>) -> Read<T> {
+    Ok(resolve())
+}
+
+/// Decode a whole document with `read`, which gets the reader and one
+/// reusable key buffer per object nesting level. Trailing input is a
+/// syntax error, which outranks the outcome.
+fn decode<'a, T>(
+    text: &'a str,
+    read: impl FnOnce(&mut JsonReader<'a>, &mut [String]) -> Read<T>,
+) -> Result<T, WireError> {
+    let mut reader = JsonReader::new(text);
+    let mut keys: [String; 5] = Default::default();
+    let outcome = read(&mut reader, &mut keys).map_err(WireError)?;
+    reader.finish().map_err(WireError)?;
+    outcome
+}
+
+/// Read the object the reader is at, handing each key to `field`, which
+/// must read or skip the value. Any other value is skipped and reads as an
+/// object without fields. `keys[0]` holds the keys of this object; the rest
+/// is passed on for nested objects.
+fn object<'a>(
+    r: &mut JsonReader<'a>,
+    keys: &mut [String],
+    mut field: impl FnMut(&mut JsonReader<'a>, &str, &mut [String]) -> Result<(), Syntax>,
+) -> Result<(), Syntax> {
+    if r.peek() != Some(b'{') {
+        return r.skip_value();
+    }
+    let (key, nested) = keys
+        .split_first_mut()
+        .expect("a key buffer per nesting level");
+    r.begin_object()?;
+    let mut first = true;
+    while r.next_key(&mut first, key)? {
+        field(r, key, nested)?;
+    }
+    Ok(())
+}
+
+/// Read the array value of field `key`, handing each element's index to
+/// `element` until one resolves to an error; the rest are only
+/// syntax-checked. Any other value is skipped and resolves to
+/// "must be an array".
+fn array<'a>(
+    r: &mut JsonReader<'a>,
+    at: At,
+    key: &str,
+    mut element: impl FnMut(&mut JsonReader<'a>, usize) -> Read<()>,
+) -> Read<()> {
+    if r.peek() != Some(b'[') {
+        r.skip_value()?;
+        return Ok(Err(mistyped(at, key, "an array")));
+    }
+    r.begin_array()?;
+    let mut outcome = Ok(());
+    let mut first = true;
+    let mut index = 0;
+    while r.next_element(&mut first)? {
+        if outcome.is_ok() {
+            outcome = element(r, index)?;
+        } else {
+            r.skip_value()?;
+        }
+        index += 1;
+    }
+    Ok(outcome)
+}
+
+/// Read a number; any other value is skipped and reads as `None`.
+fn number(r: &mut JsonReader<'_>) -> Result<Option<f64>, Syntax> {
+    match r.peek() {
+        // Every other first byte is the tree parser's number branch, which
+        // `f64_value` is.
+        Some(b'{' | b'[' | b'"' | b't' | b'f' | b'n') | None => r.skip_value().map(|()| None),
+        Some(_) => r.f64_value().map(Some),
+    }
+}
+
+/// Read the number value of field `key`; any other value is skipped and
+/// resolves to "must be a number".
+fn number_field(r: &mut JsonReader<'_>, at: At, key: &str) -> Read<f64> {
+    Ok(number(r)?.ok_or_else(|| mistyped(at, key, "a number")))
+}
+
+/// Read a string; any other value is skipped and reads as `None`.
+fn string(r: &mut JsonReader<'_>) -> Result<Option<String>, Syntax> {
+    if r.peek() != Some(b'"') {
+        return r.skip_value().map(|()| None);
+    }
+    let mut out = String::new();
+    r.string_value(&mut out).map(|()| Some(out))
+}
+
+/// Read a number as a `u32` core count; anything else (a non-number, a
+/// fraction, a negative, or more than `u32::MAX`) resolves to
+/// "must be a non-negative integer".
+fn core_count(r: &mut JsonReader<'_>, at: At, key: &str) -> Read<u32> {
+    Ok(number(r)?
+        .and_then(f64_as_u64)
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or_else(|| mistyped(at, key, "a non-negative integer")))
+}
+
+/// Read an optional boolean flag of a request object.
+fn flag(r: &mut JsonReader<'_>, key: &str) -> Read<bool> {
+    let value = match r.peek() {
+        Some(b't') => Some(true),
+        Some(b'f') => Some(false),
+        _ => None,
+    };
+    // Skipping checks the literal's spelling exactly as the parser would.
+    r.skip_value()?;
+    Ok(value.ok_or_else(|| mistyped(REQUEST, key, "a boolean")))
+}
+
+/// The fields of a `TargetSpec` object, as first seen.
+#[derive(Default)]
+struct TargetFields {
+    cores: Field<u32>,
+    frequency_ghz: Field<f64>,
+    dataset_scale: Field<f64>,
+}
+
+impl TargetFields {
+    /// Read the value of `key` when it is a target field not seen yet;
+    /// `false` leaves the value to the caller.
+    fn read(&mut self, r: &mut JsonReader<'_>, key: &str) -> Result<bool, Syntax> {
+        match key {
+            "cores" if self.cores.is_none() => self.cores = Some(core_count(r, TARGET, key)?),
+            "frequency_ghz" if self.frequency_ghz.is_none() => {
+                self.frequency_ghz = Some(number_field(r, TARGET, key)?);
+            }
+            "dataset_scale" if self.dataset_scale.is_none() => {
+                self.dataset_scale = Some(number_field(r, TARGET, key)?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn resolve(self) -> Result<TargetSpec, WireError> {
+        let mut spec = TargetSpec::cores(required(self.cores, TARGET, "cores")?);
+        if let Some(ghz) = self.frequency_ghz.transpose()? {
+            spec = spec.with_frequency_ghz(ghz);
+        }
+        if let Some(scale) = self.dataset_scale.transpose()? {
+            spec = spec.with_dataset_scale(scale);
+        }
+        Ok(spec)
+    }
+}
+
+/// Read a predict request object: a `measurements` set and a `target`.
+fn read_predict(r: &mut JsonReader<'_>, keys: &mut [String]) -> Read<(MeasurementSet, TargetSpec)> {
+    let (mut set, mut target) = (None, None);
+    object(r, keys, |r, key, keys| {
+        match key {
+            "measurements" if set.is_none() => set = Some(read_set(r, keys)?),
+            "target" if target.is_none() => {
+                let mut fields = TargetFields::default();
+                object(r, keys, |r, key, _| {
+                    if !fields.read(r, key)? {
+                        r.skip_value()?;
+                    }
+                    Ok(())
+                })?;
+                target = Some(fields.resolve());
+            }
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    resolved(|| {
+        let set = required(set, REQUEST, "measurements")?;
+        Ok((set, required(target, REQUEST, "target")?))
+    })
+}
+
+/// Read a `measurements` object. Its points may precede `app_name`, so
+/// they are collected first and pushed into the set once it exists.
+fn read_set(r: &mut JsonReader<'_>, keys: &mut [String]) -> Read<MeasurementSet> {
+    let (mut app_name, mut frequency_ghz, mut points) = (None, None, None);
+    object(r, keys, |r, key, keys| {
+        match key {
+            "app_name" if app_name.is_none() => {
+                app_name = Some(string(r)?.ok_or_else(|| mistyped(MEASUREMENTS, key, "a string")));
+            }
+            "frequency_ghz" if frequency_ghz.is_none() => {
+                frequency_ghz = Some(number_field(r, MEASUREMENTS, key)?);
+            }
+            "points" if points.is_none() => {
+                points = Some(read_points(r, MEASUREMENTS, "measurements.points", keys)?);
+            }
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    resolved(|| {
+        let app_name = required(app_name, MEASUREMENTS, "app_name")?;
+        let frequency_ghz = required(frequency_ghz, MEASUREMENTS, "frequency_ghz")?;
+        let mut set = MeasurementSet::new(app_name, frequency_ghz);
+        for point in required(points, MEASUREMENTS, "points")? {
+            set.push(point);
+        }
+        Ok(set)
+    })
+}
+
+/// Read the `points` array of an `owner` object; its entries are named
+/// `{entries}[index]`.
+fn read_points(
+    r: &mut JsonReader<'_>,
+    owner: At,
+    entries: &'static str,
+    keys: &mut [String],
+) -> Read<Vec<Measurement>> {
+    let mut points = Vec::new();
+    let outcome = array(r, owner, "points", |r, index| {
+        let at = At {
+            point: Some(index),
+            ..At::named(entries)
+        };
+        Ok(read_point(r, at, keys)?.map(|point| points.push(point)))
+    })?;
+    Ok(outcome.map(|()| points))
+}
+
+/// Read one measurement object, named `at` in its errors.
+fn read_point(r: &mut JsonReader<'_>, at: At, keys: &mut [String]) -> Read<Measurement> {
+    let (mut cores, mut exec_time, mut footprint, mut stalls) = (None, None, None, None);
+    let mut measurement = Measurement::new(0, 0.0);
+    object(r, keys, |r, key, keys| {
+        match key {
+            "cores" if cores.is_none() => cores = Some(core_count(r, at, key)?),
+            "exec_time" if exec_time.is_none() => exec_time = Some(number_field(r, at, key)?),
+            "memory_footprint" if footprint.is_none() => {
+                footprint = Some(
+                    number(r)?
+                        .and_then(f64_as_u64)
+                        .ok_or_else(|| mistyped(at, key, "a non-negative integer")),
+                );
+            }
+            "stalls" if stalls.is_none() => {
+                stalls = Some(array(r, at, key, |r, index| {
+                    let at = At {
+                        stall: Some(index),
+                        ..at
+                    };
+                    Ok(read_stall(r, at, keys)?.map(|(category, cycles)| {
+                        measurement.stalls.insert(category, cycles);
+                    }))
+                })?);
+            }
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    resolved(|| {
+        measurement.cores = required(cores, at, "cores")?;
+        measurement.exec_time = required(exec_time, at, "exec_time")?;
+        measurement.memory_footprint = footprint.transpose()?;
+        stalls.transpose()?;
+        Ok(measurement)
+    })
+}
+
+/// Read one stall object, named `at` in its errors.
+fn read_stall(r: &mut JsonReader<'_>, at: At, keys: &mut [String]) -> Read<(StallCategory, f64)> {
+    let (mut source, mut name, mut cycles) = (None, None, None);
+    object(r, keys, |r, key, _| {
+        match key {
+            "source" if source.is_none() => {
+                source = Some(match string(r)? {
+                    Some(name) => StallSource::from_json_name(&name).ok_or_else(|| {
+                        err(format!(
+                            "unknown stall source `{name}` (expected hw_backend, hw_frontend or software)"
+                        ))
+                    }),
+                    None => Err(mistyped(at, key, "a string")),
+                });
+            }
+            "name" if name.is_none() => {
+                name = Some(string(r)?.ok_or_else(|| mistyped(at, key, "a string")));
+            }
+            "cycles" if cycles.is_none() => cycles = Some(number_field(r, at, key)?),
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    resolved(|| {
+        let source = required(source, at, "source")?;
+        let name = required(name, at, "name")?;
+        Ok((
+            StallCategory { name, source },
+            required(cycles, at, "cycles")?,
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -1201,7 +926,12 @@ mod tests {
     #[test]
     fn quota_error_body_carries_the_retry_hint() {
         let mut out = String::new();
-        write_quota_error("tenant `acme` quota exceeded", 1500, &mut out);
+        write_retry_error(
+            "quota_exceeded",
+            "tenant `acme` quota exceeded",
+            1500,
+            &mut out,
+        );
         let parsed = Json::parse(&out).unwrap();
         let error = parsed.get("error").unwrap();
         assert_eq!(
@@ -1231,8 +961,8 @@ mod tests {
     #[test]
     fn measurement_set_round_trips_exactly() {
         let set = demo_set();
-        let encoded = measurement_set_to_json(&set).render();
-        let decoded = measurement_set_from_json(&Json::parse(&encoded).unwrap()).unwrap();
+        let body = predict_request_to_json(&set, &TargetSpec::cores(8)).render();
+        let (decoded, _) = decode_predict_request(&body).unwrap();
         assert_eq!(decoded, set);
     }
 
@@ -1245,17 +975,23 @@ mod tests {
                 .with_dataset_scale(2.0),
         ] {
             let encoded = target_spec_to_json(&spec).render();
-            let decoded = target_spec_from_json(&Json::parse(&encoded).unwrap()).unwrap();
-            assert_eq!(decoded, spec);
+            for decoded in [
+                decode_series_predict_request(&encoded).unwrap().0,
+                decode_plan_request(&encoded).unwrap().0,
+            ] {
+                assert_eq!(decoded, spec);
+            }
         }
     }
 
     #[test]
     fn predict_request_round_trips() {
         let set = demo_set();
-        let target = TargetSpec::cores(48);
+        let target = TargetSpec::cores(48)
+            .with_frequency_ghz(2.8)
+            .with_dataset_scale(1.5);
         let body = predict_request_to_json(&set, &target).render();
-        let (set2, target2) = predict_request_from_json(&Json::parse(&body).unwrap()).unwrap();
+        let (set2, target2) = decode_predict_request(&body).unwrap();
         assert_eq!(set2, set);
         assert_eq!(target2, target);
     }
@@ -1265,58 +1001,25 @@ mod tests {
         let prediction = Estima::new(EstimaConfig::default().with_parallelism(1))
             .predict(&demo_set(), &TargetSpec::cores(48))
             .unwrap();
-        let encoded = prediction_to_json(&prediction).render();
-        let decoded = Json::parse(&encoded).unwrap();
-        let times = series_from_json(decoded.get("predicted_time").unwrap()).unwrap();
-        assert_eq!(times.len(), prediction.predicted_time.len());
-        for ((c1, t1), (c2, t2)) in prediction.predicted_time.iter().zip(&times) {
-            assert_eq!(c1, c2);
-            assert_eq!(t1.to_bits(), t2.to_bits(), "exact f64 round trip");
-        }
-    }
-
-    #[test]
-    fn direct_prediction_writer_matches_tree_render_byte_for_byte() {
-        let prediction = Estima::new(EstimaConfig::default().with_parallelism(1))
-            .predict(&demo_set(), &TargetSpec::cores(48))
-            .unwrap();
-        let via_tree = prediction_to_json(&prediction).render();
-        let mut via_writer = String::new();
-        write_prediction(&prediction, &mut via_writer);
-        assert_eq!(via_writer, via_tree);
+        let mut encoded = String::new();
+        write_prediction(&prediction, &mut encoded);
         assert!(
-            !via_writer.contains("\"confidence\""),
+            !encoded.contains("\"confidence\""),
             "default predictions must not emit the opt-in confidence field"
         );
-    }
-
-    #[test]
-    fn extended_prediction_writer_matches_tree_render_byte_for_byte() {
-        let estima = Estima::new(EstimaConfig::default().with_parallelism(1));
-        let (prediction, interval) = estima_core::Planner::new(&estima)
-            .confidence(&demo_set(), &TargetSpec::cores(48))
+        let decoded = Json::parse(&encoded).unwrap();
+        let times = decoded
+            .get("predicted_time")
+            .and_then(Json::as_array)
             .unwrap();
-        assert_eq!(prediction.confidence, Some(interval));
-        let report = BottleneckReport::from_prediction(&prediction, 48);
-        let via_tree = prediction_response_to_json(&prediction, Some(&report)).render();
-        let mut via_writer = String::new();
-        write_prediction_response(&prediction, Some(&report), &mut via_writer);
-        assert_eq!(via_writer, via_tree);
-        assert!(via_writer.contains("\"confidence\":{\"lo\":"));
-        assert!(via_writer.contains("\"bottleneck\":{\"at_cores\":48"));
-    }
-
-    #[test]
-    fn plan_writer_matches_tree_render_byte_for_byte() {
-        let estima = Estima::new(EstimaConfig::default().with_parallelism(1));
-        let plan = estima_core::Planner::new(&estima)
-            .plan(&demo_set(), &TargetSpec::cores(48), 3)
-            .unwrap();
-        let via_tree = plan_to_json(&plan).render();
-        let mut via_writer = String::new();
-        write_plan(&plan, &mut via_writer);
-        assert_eq!(via_writer, via_tree);
-        assert!(via_writer.starts_with("{\"app_name\":\"wire-demo\""));
+        assert_eq!(times.len(), prediction.predicted_time.len());
+        for ((c1, t1), pair) in prediction.predicted_time.iter().zip(times) {
+            let pair = pair.as_array().unwrap();
+            assert_eq!(pair.len(), 2);
+            assert_eq!(pair[0].as_u64(), Some(u64::from(*c1)));
+            let t2 = pair[1].as_f64().unwrap();
+            assert_eq!(t1.to_bits(), t2.to_bits(), "exact f64 round trip");
+        }
     }
 
     #[test]
@@ -1333,6 +1036,11 @@ mod tests {
             decode_series_predict_request("{\"cores\":32,\"confidence\":false}").unwrap();
         assert!(!extras.confidence && !extras.diagnosis);
         assert!(decode_series_predict_request("{\"cores\":32,\"confidence\":1}").is_err());
+        // A key spelled with a JSON escape is the same key.
+        let escaped = r#"{"cores":32,"confid\u0065nce":true}"#;
+        assert!(decode_series_predict_request(escaped).unwrap().1.confidence);
+        let escaped = r#"{"cores":32,"sugg\u0065stions":9}"#;
+        assert!(decode_plan_request(escaped).is_err());
     }
 
     #[test]
@@ -1352,28 +1060,12 @@ mod tests {
     }
 
     #[test]
-    fn direct_error_writer_matches_tree_render_byte_for_byte() {
-        for (code, message) in [
-            ("bad_request", "plain message"),
-            (
-                "not_found",
-                "needs \"escaping\"\n\tand \\ control \u{1} bytes",
-            ),
-        ] {
-            let via_tree = error_to_json(code, message).render();
-            let mut via_writer = String::new();
-            write_error(code, message, &mut via_writer);
-            assert_eq!(via_writer, via_tree);
-        }
-    }
-
-    #[test]
     fn ingest_request_round_trips() {
         let series = SeriesId::new("demo-1").unwrap();
         let points: Vec<Measurement> = demo_set().measurements().to_vec();
         for frequency in [Some(2.1), None] {
             let encoded = ingest_request_to_json(&series, frequency, &points).render();
-            let decoded = ingest_request_from_json(&Json::parse(&encoded).unwrap()).unwrap();
+            let decoded = decode_ingest_request(&encoded).unwrap();
             assert_eq!(decoded.series, series);
             assert_eq!(decoded.frequency_ghz, frequency);
             assert_eq!(decoded.points, points);
@@ -1382,56 +1074,19 @@ mod tests {
 
     #[test]
     fn ingest_request_rejects_bad_series_ids() {
-        let bad = Json::parse(r#"{"series":"a b","points":[]}"#).unwrap();
-        let error = ingest_request_from_json(&bad).unwrap_err();
+        let error = decode_ingest_request(r#"{"series":"a b","points":[]}"#).unwrap_err();
         assert!(error.0.contains("invalid series id"), "{error}");
-        let missing = Json::parse(r#"{"series":"ok"}"#).unwrap();
-        assert!(ingest_request_from_json(&missing).is_err());
-        let bad_freq = Json::parse(r#"{"series":"ok","frequency_ghz":-1,"points":[]}"#).unwrap();
-        let error = ingest_request_from_json(&bad_freq).unwrap_err();
+        assert!(decode_ingest_request(r#"{"series":"ok"}"#).is_err());
+        let error =
+            decode_ingest_request(r#"{"series":"ok","frequency_ghz":-1,"points":[]}"#).unwrap_err();
         assert!(error.0.contains("positive and finite"), "{error}");
     }
 
-    /// The tree-path outcome `decode_predict_request` must replicate.
-    fn tree_predict(text: &str) -> Result<(MeasurementSet, TargetSpec), WireError> {
-        let value = Json::parse(text).map_err(WireError)?;
-        predict_request_from_json(&value)
-    }
-
-    fn tree_ingest(text: &str) -> Result<IngestRequest, WireError> {
-        let value = Json::parse(text).map_err(WireError)?;
-        ingest_request_from_json(&value)
-    }
-
     #[test]
-    fn streaming_decoders_match_tree_decoding_on_canonical_bodies() {
-        let set = demo_set();
-        let target = TargetSpec::cores(48)
-            .with_frequency_ghz(2.8)
-            .with_dataset_scale(1.5);
-        let body = predict_request_to_json(&set, &target).render();
-        let (set2, target2) = decode_predict_request(&body).unwrap();
-        assert_eq!(set2, set);
-        assert_eq!(target2, target);
-
-        let series = SeriesId::new("demo-1").unwrap();
-        let points: Vec<Measurement> = set.measurements().to_vec();
-        for frequency in [Some(2.1), None] {
-            let body = ingest_request_to_json(&series, frequency, &points).render();
-            let decoded = decode_ingest_request(&body).unwrap();
-            assert_eq!(decoded, tree_ingest(&body).unwrap());
-            assert_eq!(decoded.points, points);
-        }
-
-        let body = target_spec_to_json(&target).render();
-        assert_eq!(decode_target_spec(&body).unwrap(), target);
-    }
-
-    #[test]
-    fn streaming_decoders_tolerate_field_order_unknowns_and_duplicates() {
+    fn decoders_tolerate_field_order_unknowns_and_duplicates() {
         // Fields out of canonical order (points before app_name, target
         // first), unknown fields at every level, and duplicate keys where
-        // the first occurrence must win — all tree-path semantics.
+        // the first occurrence must win.
         let body = r#"{
             "target": {"ignored": [1, {"x": "y"}], "cores": 48, "cores": 7},
             "measurements": {
@@ -1447,66 +1102,11 @@ mod tests {
             "trailing_unknown": {"a": [true, false]}
         }"#;
         let (set, target) = decode_predict_request(body).unwrap();
-        let (tree_set, tree_target) = tree_predict(body).unwrap();
-        assert_eq!(set, tree_set);
-        assert_eq!(target, tree_target);
-        assert_eq!(set.app_name, "ooo-demo");
-        assert_eq!(set.frequency_ghz, 2.1, "first duplicate must win");
-        assert_eq!(target.cores, 48, "first duplicate must win");
-        assert_eq!(set.len(), 2);
-        assert_eq!(
-            set.measurements()[0].stalls.keys().next().unwrap().source,
-            StallSource::HardwareBackend,
-            "first duplicate must win inside stall objects"
-        );
-    }
-
-    #[test]
-    fn streaming_decoders_report_tree_identical_errors() {
-        // Responses are pinned byte-identical to the tree path, so the
-        // error *messages* must match exactly, not just the error-ness.
-        for body in [
-            "",
-            "not json",
-            r#"{"measurements": 5}"#,
-            r#"{"target": {"cores": 48}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [
-                {"cores": 1.5, "exec_time": 1.0}]}, "target": {"cores": 48}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [
-                {"cores": 1, "exec_time": 1.0,
-                 "stalls": [{"source": "gpu", "name": "x", "cycles": 1}]}]},
-                "target": {"cores": 48}}"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": []},
-                "target": {"cores": 48}} trailing"#,
-            r#"{"measurements": {"app_name": "x", "frequency_ghz": 2.0, "points": [}"#,
-        ] {
-            assert_eq!(
-                decode_predict_request(body).map(|_| ()),
-                tree_predict(body).map(|_| ()),
-                "error diverged on {body:?}"
-            );
-        }
-        for body in [
-            r#"{"series": "a b", "points": []}"#,
-            r#"{"series": "ok"}"#,
-            r#"{"series": "ok", "frequency_ghz": -1, "points": []}"#,
-            r#"{"series": "ok", "frequency_ghz": "fast", "points": []}"#,
-        ] {
-            assert_eq!(
-                decode_ingest_request(body).map(|_| ()),
-                tree_ingest(body).map(|_| ()),
-                "error diverged on {body:?}"
-            );
-        }
-        let bad_target = r#"{"cores": -1}"#;
-        assert_eq!(
-            decode_target_spec(bad_target).map(|_| ()),
-            Json::parse(bad_target)
-                .map_err(WireError)
-                .and_then(|v| target_spec_from_json(&v))
-                .map(|_| ()),
-        );
+        let mut expected = MeasurementSet::new("ooo-demo", 2.1);
+        expected.push(Measurement::new(1, 2.5).with_stall(StallCategory::backend("rob_full"), 1e9));
+        expected.push(Measurement::new(2, 1.5).with_memory_footprint(1_048_576));
+        assert_eq!(set, expected, "first duplicates win at every level");
+        assert_eq!(target, TargetSpec::cores(48), "first duplicate must win");
     }
 
     #[test]
@@ -1523,9 +1123,14 @@ mod tests {
         assert_eq!(entry.get("points").and_then(Json::as_u64), Some(8));
 
         let detail = series_detail_to_json(&store.snapshot(&id).unwrap());
-        let decoded = measurement_set_from_json(detail.get("measurements").unwrap()).unwrap();
-        assert_eq!(decoded.len(), 8);
-        assert_eq!(decoded.app_name, "app");
+        let measurements = detail.get("measurements").unwrap();
+        assert_eq!(
+            measurements.get("app_name").and_then(Json::as_str),
+            Some("app")
+        );
+        let points = measurements.get("points").and_then(Json::as_array).unwrap();
+        assert_eq!(points.len(), 8);
+        assert_eq!(points[0], demo_set().measurements()[0].to_json());
     }
 
     #[test]
@@ -1547,25 +1152,28 @@ mod tests {
 
     #[test]
     fn decode_errors_name_the_offending_field() {
-        let missing = Json::parse(r#"{"app_name":"x","frequency_ghz":2.0}"#).unwrap();
-        let error = measurement_set_from_json(&missing).unwrap_err();
+        let missing =
+            r#"{"measurements":{"app_name":"x","frequency_ghz":2.0},"target":{"cores":4}}"#;
+        let error = decode_predict_request(missing).unwrap_err();
         assert!(error.0.contains("points"), "{error}");
 
-        let bad_source = Json::parse(
-            r#"{"app_name":"x","frequency_ghz":2.0,"points":[
-                {"cores":1,"exec_time":1.0,"stalls":[{"source":"gpu","name":"x","cycles":1}]}]}"#,
-        )
-        .unwrap();
-        let error = measurement_set_from_json(&bad_source).unwrap_err();
+        let bad_source = r#"{"measurements":{"app_name":"x","frequency_ghz":2.0,"points":[
+            {"cores":1,"exec_time":1.0,"stalls":[{"source":"gpu","name":"x","cycles":1}]}]},
+            "target":{"cores":4}}"#;
+        let error = decode_predict_request(bad_source).unwrap_err();
         assert!(error.0.contains("unknown stall source"), "{error}");
 
-        let bad_jobs = Json::parse(r#"{"jobs":{}}"#).unwrap();
-        assert!(batch_request_from_json(&bad_jobs).is_err());
+        assert!(decode_batch_request(r#"{"jobs":{}}"#).is_err());
     }
 
     #[test]
     fn error_bodies_have_code_and_message() {
-        let body = estima_error_to_json(&EstimaError::NoStallCategories).render();
+        let mut body = String::new();
+        write_error(
+            "prediction_failed",
+            &EstimaError::NoStallCategories.to_string(),
+            &mut body,
+        );
         let decoded = Json::parse(&body).unwrap();
         let error = decoded.get("error").unwrap();
         assert_eq!(

@@ -325,6 +325,51 @@ fn every_route_through_the_router_is_byte_identical_to_a_single_node() {
     );
     assert_eq!(bad_batch.status, 400);
     assert!(bad_batch.body.contains("jobs[0]"), "{}", bad_batch.body);
+    // Several errors in one body: the first in the decoder's field order
+    // answers, on every path.
+    let multi_error = check(
+        &mut router,
+        &mut single,
+        "POST",
+        "/v1/predict",
+        r#"{"measurements":{"points":[{"cores":-1}],"frequency_ghz":"x"},"target":5}"#,
+    );
+    assert_eq!(multi_error.status, 400);
+    assert!(
+        multi_error
+            .body
+            .contains("measurements: missing field `app_name`"),
+        "{}",
+        multi_error.body
+    );
+    let bad_flag = check(
+        &mut router,
+        &mut single,
+        "POST",
+        "/v1/series/tenant.app-1/predict",
+        r#"{"cores":32,"confidence":1,"diagnosis":"x"}"#,
+    );
+    assert_eq!(bad_flag.status, 400);
+    assert!(
+        bad_flag
+            .body
+            .contains("request: field `confidence` must be a boolean"),
+        "{}",
+        bad_flag.body
+    );
+    let bad_suggestions = check(
+        &mut router,
+        &mut single,
+        "POST",
+        "/v1/series/tenant.app-1/plan",
+        r#"{"cores":32,"suggestions":9}"#,
+    );
+    assert_eq!(bad_suggestions.status, 400);
+    assert!(
+        bad_suggestions.body.contains("`suggestions`"),
+        "{}",
+        bad_suggestions.body
+    );
 
     let wrong_method = check(&mut router, &mut single, "PUT", "/v1/predict", "{}");
     assert_eq!(wrong_method.status, 405);

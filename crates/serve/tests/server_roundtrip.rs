@@ -24,6 +24,28 @@ impl Client {
     }
 }
 
+/// The `[[cores, value], ...]` pairs of a prediction's series field.
+fn series(decoded: &Json, key: &str) -> Vec<(u32, f64)> {
+    decoded
+        .get(key)
+        .and_then(Json::as_array)
+        .unwrap_or_else(|| panic!("`{key}` must be an array"))
+        .iter()
+        .map(|pair| {
+            let pair = pair
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .expect("series entries must be [cores, value] pairs");
+            let cores = pair[0]
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .expect("series cores must be an integer");
+            let value = pair[1].as_f64().expect("series value must be a number");
+            (cores, value)
+        })
+        .collect()
+}
+
 fn spawn_server() -> estima_serve::ServerHandle {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -75,7 +97,7 @@ fn predict_over_http_is_byte_identical_to_in_process() {
         Some("quickstart")
     );
     assert_eq!(decoded.get("target_cores").and_then(Json::as_u64), Some(48));
-    let served = wire::series_from_json(decoded.get("predicted_time").unwrap()).unwrap();
+    let served = series(&decoded, "predicted_time");
     assert_eq!(served.len(), reference.predicted_time.len());
     for ((c1, t1), (c2, t2)) in reference.predicted_time.iter().zip(&served) {
         assert_eq!(c1, c2);
@@ -85,7 +107,7 @@ fn predict_over_http_is_byte_identical_to_in_process() {
             "served prediction differs at {c1} cores: {t1} vs {t2}"
         );
     }
-    let spc = wire::series_from_json(decoded.get("stalls_per_core").unwrap()).unwrap();
+    let spc = series(&decoded, "stalls_per_core");
     for ((c1, s1), (c2, s2)) in reference.stalls_per_core.iter().zip(&spc) {
         assert_eq!(c1, c2);
         assert_eq!(s1.to_bits(), s2.to_bits());
@@ -301,7 +323,7 @@ fn series_predict_after_incremental_ingest_is_byte_identical_to_one_shot() {
         .predict(&set, &target)
         .unwrap();
     let decoded = Json::parse(&incremental).unwrap();
-    let served = wire::series_from_json(decoded.get("predicted_time").unwrap()).unwrap();
+    let served = series(&decoded, "predicted_time");
     for ((c1, t1), (c2, t2)) in reference.predicted_time.iter().zip(&served) {
         assert_eq!(c1, c2);
         assert_eq!(t1.to_bits(), t2.to_bits());
@@ -339,13 +361,13 @@ fn series_lifecycle_list_get_delete() {
     assert_eq!(entry.get("points").and_then(Json::as_u64), Some(12));
     assert_eq!(entry.get("max_cores").and_then(Json::as_u64), Some(12));
 
-    // Get: the stored measurements round-trip to exactly what was sent
-    // (modulo the app name, which is the series id).
+    // Get: the stored measurements round-trip to exactly what was sent (the
+    // stored app name is the series id, which this set already carries).
     let (status, detail) = client.request("GET", "/v1/series/lifecycle", "");
     assert_eq!(status, 200);
     let detail = Json::parse(&detail).unwrap();
-    let stored = wire::measurement_set_from_json(detail.get("measurements").unwrap()).unwrap();
-    assert_eq!(stored.measurements(), set.measurements());
+    let stored = detail.get("measurements").unwrap().render();
+    assert_eq!(stored, wire::measurement_set_to_json(&set).render());
 
     // Delete: reports what was dropped; the series is gone afterwards.
     let (status, deleted) = client.request("DELETE", "/v1/series/lifecycle", "");
@@ -593,12 +615,13 @@ fn default_predict_bytes_are_unchanged_by_the_plan_subsystem() {
     let target = TargetSpec::cores(48);
 
     // The pre-flags wire pin: a bare-TargetSpec body serves exactly
-    // `prediction_to_json` of the in-process prediction — no `confidence`
+    // `write_prediction` of the in-process prediction — no `confidence`
     // or `bottleneck` key anywhere.
     let reference = BatchPredictor::new(EstimaConfig::default().with_parallelism(1))
         .predict(&set, &target)
         .unwrap();
-    let expected = wire::prediction_to_json(&reference).render();
+    let mut expected = String::new();
+    wire::write_prediction(&reference, &mut expected);
     let bare = wire::target_spec_to_json(&target).render();
     let (status, plain) = client.request("POST", "/v1/series/pinned/predict", &bare);
     assert_eq!(status, 200, "{plain}");
