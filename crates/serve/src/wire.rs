@@ -612,6 +612,8 @@ fn decode<'a, T>(
     read: impl FnOnce(&mut JsonReader<'a>, &mut [String]) -> Read<T>,
 ) -> Result<T, WireError> {
     let mut reader = JsonReader::new(text);
+    // The deepest body nests five objects: batch, job, measurements,
+    // point, stall.
     let mut keys: [String; 5] = Default::default();
     let outcome = read(&mut reader, &mut keys).map_err(WireError)?;
     reader.finish().map_err(WireError)?;
